@@ -99,6 +99,21 @@ impl BitSet {
         x
     }
 
+    /// The smallest index in `lo..hi` that is in the set, scanning one word
+    /// at a time.
+    pub fn first_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let mut start = lo;
+        while start < hi {
+            let len = (hi - start).min(64);
+            let word = self.extract_range(start, len);
+            if word != 0 {
+                return Some(start + word.trailing_zeros() as usize);
+            }
+            start += len;
+        }
+        None
+    }
+
     /// Removes every index.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -214,6 +229,18 @@ mod tests {
         }
         // Full-word extraction at an unaligned base.
         assert_eq!(s.extract_range(63, 64) & 0b111, 0b111);
+    }
+
+    #[test]
+    fn first_in_matches_a_linear_search() {
+        let indices = [0usize, 1, 63, 64, 65, 127, 128, 300];
+        let s: BitSet = indices.iter().copied().collect();
+        for lo in [0usize, 1, 2, 60, 64, 66, 129, 301] {
+            for hi in [0usize, 1, 64, 65, 128, 200, 400] {
+                let linear = (lo..hi).find(|&i| s.contains(i));
+                assert_eq!(s.first_in(lo, hi), linear, "lo {lo} hi {hi}");
+            }
+        }
     }
 
     #[test]

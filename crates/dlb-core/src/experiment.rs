@@ -247,10 +247,6 @@ impl RunKey {
         bits.extend([
             options.skew.to_bits(),
             options.seed,
-            match options.fp_realization {
-                dlb_exec::ErrorRealization::Shared => 0,
-                dlb_exec::ErrorRealization::PerNode => 1,
-            },
             options.flow.queue_capacity as u64,
             options.flow.trigger_pages,
             options.contention.threshold as u64,
@@ -317,13 +313,14 @@ impl RunKey {
 /// it. Hits share one allocation (`Arc` clone), never a deep copy.
 #[derive(Debug, Default)]
 pub struct RunCache {
-    map: Mutex<HashMap<RunKey, Arc<Vec<PlanRun>>>>,
-    /// Inter-query mix runs, keyed by [`RunKey::for_mix`]. Kept apart from
-    /// the per-plan map because the cached value is a whole [`MixRun`]
-    /// (schedule + contrast + solo set), not a plan list.
-    mix: Mutex<HashMap<RunKey, Arc<MixRun>>>,
+    /// Per-plan runs of one strategy over a workload.
+    pub plans: Memo<Vec<PlanRun>>,
+    /// Inter-query mix runs, keyed by [`RunKey::for_mix`]. The cached value
+    /// is a whole [`MixRun`] (schedule + contrast + solo set), not a plan
+    /// list.
+    pub mix: Memo<MixRun>,
     /// Open-system runs, keyed by [`RunKey::for_open`].
-    open: Mutex<HashMap<RunKey, Arc<OpenRun>>>,
+    pub open: Memo<OpenRun>,
 }
 
 impl RunCache {
@@ -332,70 +329,51 @@ impl RunCache {
         Self::default()
     }
 
-    /// Number of cached plan runs (mix runs are counted by [`mix_len`]).
-    ///
-    /// [`mix_len`]: RunCache::mix_len
+    /// Number of cached plan runs (see [`Memo::len`] on each field for the
+    /// others).
     pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// Number of cached inter-query mix runs.
-    pub fn mix_len(&self) -> usize {
-        self.mix.lock().len()
-    }
-
-    /// Number of cached open-system runs.
-    pub fn open_len(&self) -> usize {
-        self.open.lock().len()
+        self.plans.len()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty() && self.mix.lock().is_empty() && self.open.lock().is_empty()
+        self.plans.len() + self.mix.len() + self.open.len() == 0
+    }
+}
+
+/// One memo of a [`RunCache`]: shared values keyed by [`RunKey`], where the
+/// first insertion wins.
+#[derive(Debug)]
+pub struct Memo<V>(Mutex<HashMap<RunKey, Arc<V>>>);
+
+impl<V> Default for Memo<V> {
+    fn default() -> Self {
+        Self(Mutex::new(HashMap::new()))
+    }
+}
+
+impl<V> Memo<V> {
+    /// Number of cached values.
+    pub fn len(&self) -> usize {
+        self.0.lock().len()
     }
 
-    /// Looks up a cached run.
-    pub fn get(&self, key: &RunKey) -> Option<Arc<Vec<PlanRun>>> {
-        self.map.lock().get(key).map(Arc::clone)
+    /// True when nothing is cached yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.lock().is_empty()
     }
 
-    /// Inserts `runs` unless the key is already present, returning the cached
-    /// value either way. Keeping the first insertion means every racing
-    /// caller shares one allocation, preserving the `Arc::ptr_eq` cache-hit
-    /// contract even under concurrent runs.
-    pub fn insert_or_get(&self, key: RunKey, runs: Arc<Vec<PlanRun>>) -> Arc<Vec<PlanRun>> {
-        let mut map = self.map.lock();
-        Arc::clone(map.entry(key).or_insert(runs))
+    /// Looks up a cached value.
+    pub fn get(&self, key: &RunKey) -> Option<Arc<V>> {
+        self.0.lock().get(key).map(Arc::clone)
     }
 
-    /// Looks up a cached mix run.
-    pub fn get_mix(&self, key: &RunKey) -> Option<Arc<MixRun>> {
-        self.mix.lock().get(key).map(Arc::clone)
-    }
-
-    /// Inserts a mix run unless the key is already present, returning the
-    /// cached value either way (same first-insertion-wins contract as
-    /// [`insert_or_get`]).
-    ///
-    /// [`insert_or_get`]: RunCache::insert_or_get
-    pub fn insert_or_get_mix(&self, key: RunKey, run: Arc<MixRun>) -> Arc<MixRun> {
-        let mut map = self.mix.lock();
-        Arc::clone(map.entry(key).or_insert(run))
-    }
-
-    /// Looks up a cached open-system run.
-    pub fn get_open(&self, key: &RunKey) -> Option<Arc<OpenRun>> {
-        self.open.lock().get(key).map(Arc::clone)
-    }
-
-    /// Inserts an open-system run unless the key is already present,
-    /// returning the cached value either way (same first-insertion-wins
-    /// contract as [`insert_or_get`]).
-    ///
-    /// [`insert_or_get`]: RunCache::insert_or_get
-    pub fn insert_or_get_open(&self, key: RunKey, run: Arc<OpenRun>) -> Arc<OpenRun> {
-        let mut map = self.open.lock();
-        Arc::clone(map.entry(key).or_insert(run))
+    /// Inserts `value` unless the key is already present, returning the
+    /// cached value either way. Keeping the first insertion means every
+    /// racing caller shares one allocation, preserving the `Arc::ptr_eq`
+    /// cache-hit contract even under concurrent runs.
+    pub fn insert_or_get(&self, key: RunKey, value: Arc<V>) -> Arc<V> {
+        Arc::clone(self.0.lock().entry(key).or_insert(value))
     }
 }
 
@@ -545,7 +523,7 @@ impl Experiment {
     /// [`run_sequential`]: Experiment::run_sequential
     pub fn run(&self, strategy: Strategy) -> Result<Arc<Vec<PlanRun>>> {
         let key = self.cache_key(strategy);
-        if let Some(cached) = self.cache.get(&key) {
+        if let Some(cached) = self.cache.plans.get(&key) {
             return Ok(cached);
         }
         let runs: Result<Vec<PlanRun>> = self
@@ -555,7 +533,7 @@ impl Experiment {
             .enumerate()
             .map(|(plan_index, entry)| self.run_plan(strategy, plan_index, entry))
             .collect();
-        Ok(self.cache.insert_or_get(key, Arc::new(runs?)))
+        Ok(self.cache.plans.insert_or_get(key, Arc::new(runs?)))
     }
 
     /// Runs an inter-query mix on this experiment's system: admission,
@@ -646,7 +624,7 @@ impl Experiment {
             &demands,
             topology,
         );
-        if let Some(hit) = self.cache.get_mix(&key) {
+        if let Some(hit) = self.cache.mix.get(&key) {
             return Ok((*hit).clone());
         }
 
@@ -773,7 +751,7 @@ impl Experiment {
                 }
             }
         };
-        Ok((*self.cache.insert_or_get_mix(key, Arc::new(run))).clone())
+        Ok((*self.cache.mix.insert_or_get(key, Arc::new(run))).clone())
     }
 
     /// Runs an open system on this experiment's machine: the workload's
@@ -845,7 +823,7 @@ impl Experiment {
             concurrency,
             &frontend,
         );
-        if let Some(hit) = self.cache.get_open(&key) {
+        if let Some(hit) = self.cache.open.get(&key) {
             return Ok((*hit).clone());
         }
         // Solo baselines: the cached whole-machine run of every template.
@@ -878,7 +856,7 @@ impl Experiment {
         };
         let report = execute_open(&traffic, config, strategy, self.system.options())?;
         let run = OpenRun { report, solo };
-        Ok((*self.cache.insert_or_get_open(key, Arc::new(run))).clone())
+        Ok((*self.cache.open.insert_or_get(key, Arc::new(run))).clone())
     }
 
     /// Runs every plan strictly sequentially on the calling thread, bypassing
@@ -1116,14 +1094,6 @@ mod tests {
             })
             .build();
         assert_ne!(dp, key_for(Strategy::dynamic(), &retuned, &c48));
-        // The FP error-realization knob is a simulation input too.
-        let per_node = ExecOptions::builder()
-            .fp_realization(dlb_exec::ErrorRealization::PerNode)
-            .build();
-        assert_ne!(
-            key_for(Strategy::fixed(0.2), &o, &c48),
-            key_for(Strategy::fixed(0.2), &per_node, &c48)
-        );
         let mut slower = c48;
         slower.cpu.mips = 39.0;
         assert_ne!(dp, key_for(Strategy::dynamic(), &o, &slower));
@@ -1263,7 +1233,7 @@ mod tests {
         }
         // Both mode runs are cached under distinct extended keys; repeats
         // are hits that change nothing.
-        assert_eq!(exp.cache().mix_len(), 2);
+        assert_eq!(exp.cache().mix.len(), 2);
         let again = exp
             .run_mix(
                 &mix,
@@ -1273,7 +1243,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(again, run);
-        assert_eq!(exp.cache().mix_len(), 2);
+        assert_eq!(exp.cache().mix.len(), 2);
     }
 
     #[test]
@@ -1629,10 +1599,10 @@ mod tests {
             Some(true)
         );
         // A repeat is a pure cache hit.
-        assert_eq!(exp.cache().open_len(), 1);
+        assert_eq!(exp.cache().open.len(), 1);
         let again = exp.run_open(&arrivals, 2, Strategy::dynamic()).unwrap();
         assert_eq!(again, run);
-        assert_eq!(exp.cache().open_len(), 1);
+        assert_eq!(exp.cache().open.len(), 1);
         // Mismatched template pool or a zero concurrency are config errors.
         assert!(exp
             .run_open(&small_arrivals(20, 99), 2, Strategy::dynamic())

@@ -40,17 +40,17 @@ pub use dlb_common::config::{CostConstants, CpuParams, DiskParams, NetworkParams
 pub use dlb_common::{Duration, SimTime};
 pub use dlb_exec::mix::{MixJob, MixMode, MixPolicy, MixSchedule, QueryOutcome};
 pub use dlb_exec::{
-    policies, CoSimQuery, CoSimReport, ContentionModel, ErrorRealization, ExecOptions,
-    ExecOptionsBuilder, ExecutionReport, FaultStats, FlowControl, FrontendConfig, FrontendStats,
-    OpenReport, ParamSpec, Policy, QueryExecReport, RecoveryOptions, RecoveryPolicy, RehomePolicy,
-    StealPolicy, Strategy, TopologyChange, TopologyEvent,
+    policies, CoSimQuery, CoSimReport, ContentionModel, ExecOptions, ExecOptionsBuilder,
+    ExecutionReport, FaultStats, FlowControl, FrontendConfig, FrontendStats, OpenReport, ParamSpec,
+    Policy, QueryExecReport, RecoveryOptions, RecoveryPolicy, RehomePolicy, StealPolicy, Strategy,
+    TopologyChange, TopologyEvent,
 };
 pub use dlb_query::plan::{ChainScheduling, ParallelPlan};
 pub use dlb_query::{Query, WorkloadParams};
 pub use dlb_traffic::{ArrivalKind, ArrivalSpec, LatencyHistogram, LatencySummary};
 pub use experiment::{
-    init_threads_from_env, set_threads, Experiment, ExperimentBuilder, MixRun, OpenRun, PlanRun,
-    RunCache, RunKey,
+    init_threads_from_env, set_threads, Experiment, ExperimentBuilder, Memo, MixRun, OpenRun,
+    PlanRun, RunCache, RunKey,
 };
 pub use scenario::{run_scenario, ScenarioReport, ScenarioSpec};
 pub use summary::{relative_performance, speedup, Summary};

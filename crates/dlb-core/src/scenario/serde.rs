@@ -14,9 +14,8 @@ use super::spec::{
 use dlb_common::json::{object, Json};
 use dlb_common::{DlbError, Result};
 use dlb_exec::{
-    ContentionModel, ErrorRealization, ExecOptions, FlowControl, MixMode, MixPolicy,
-    RecoveryOptions, RecoveryPolicy, RehomePolicy, StealPolicy, Strategy, TopologyChange,
-    TopologyEvent,
+    ContentionModel, ExecOptions, FlowControl, MixMode, MixPolicy, RecoveryOptions, RecoveryPolicy,
+    RehomePolicy, StealPolicy, Strategy, TopologyChange, TopologyEvent,
 };
 use dlb_traffic::ArrivalKind;
 
@@ -443,7 +442,6 @@ fn options_to_json(o: &ExecOptions) -> Json {
     let mut members = vec![
         ("skew", Json::Float(o.skew)),
         ("seed", Json::from(o.seed)),
-        ("fp_realization", Json::from(o.fp_realization.label())),
         (
             "flow",
             object(vec![
@@ -523,15 +521,17 @@ fn options_from_json(v: &Json) -> Result<ExecOptions> {
                 .ok_or_else(|| parse_err(format!("{key} must be a non-negative integer"))),
         }
     };
-    let fp_realization = match v.get("fp_realization") {
-        None => d.fp_realization,
-        Some(j) => {
-            let label = j
-                .as_str()
-                .ok_or_else(|| parse_err("\"fp_realization\" must be a string"))?;
-            ErrorRealization::from_label(label).map_err(parse_err)?
+    // A removed option: FP always draws one distorted estimate per query,
+    // reused on every node. Old specs that spell out that behaviour
+    // ("shared") still parse.
+    if let Some(j) = v.get("fp_realization") {
+        if j.as_str() != Some("shared") {
+            return Err(parse_err(
+                "option \"fp_realization\" was removed: FP always shares one error \
+                 realization across nodes, so only \"shared\" is accepted",
+            ));
         }
-    };
+    }
     let recovery = match v.get("recovery") {
         None => d.recovery,
         Some(r) => {
@@ -566,7 +566,6 @@ fn options_from_json(v: &Json) -> Result<ExecOptions> {
     Ok(ExecOptions {
         skew: opt_f64(Some(v), "skew", d.skew)?,
         seed: opt_u64(Some(v), "seed", d.seed)?,
-        fp_realization,
         flow: FlowControl {
             queue_capacity: opt_u64(flow, "queue_capacity", d.flow.queue_capacity as u64)? as usize,
             trigger_pages: opt_u64(flow, "trigger_pages", d.flow.trigger_pages)?,
@@ -1098,19 +1097,21 @@ mod tests {
     }
 
     #[test]
-    fn fp_realization_parses_round_trips_and_rejects_unknown_labels() {
-        let spec =
-            ScenarioSpec::from_json(r#"{"name": "x", "options": {"fp_realization": "per-node"}}"#)
+    fn removed_fp_realization_key_accepts_only_the_shared_spelling() {
+        let shared =
+            ScenarioSpec::from_json(r#"{"name": "x", "options": {"fp_realization": "shared"}}"#)
                 .unwrap();
-        assert_eq!(spec.options.fp_realization, ErrorRealization::PerNode);
-        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
-        // Unset keeps the paper-reading default.
         let defaulted = ScenarioSpec::from_json(r#"{"name": "x"}"#).unwrap();
-        assert_eq!(defaulted.options.fp_realization, ErrorRealization::Shared);
-        assert!(ScenarioSpec::from_json(
-            r#"{"name": "x", "options": {"fp_realization": "per-operator"}}"#
-        )
-        .is_err());
+        assert_eq!(shared, defaulted);
+        assert!(!shared.to_json().contains("fp_realization"));
+        for bad in [r#""per-node""#, r#""per-operator""#, "1"] {
+            let json = format!(r#"{{"name": "x", "options": {{"fp_realization": {bad}}}}}"#);
+            let err = ScenarioSpec::from_json(&json).unwrap_err().to_string();
+            assert!(
+                err.contains("fp_realization") && err.contains("removed"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! co-simulated runs are bit-identical regardless of harness thread counts.
 
 use crate::activation::{Activation, ActivationKind, ActivationQueue, DrainOutcome};
-use crate::options::{ErrorRealization, ExecOptions, RecoveryPolicy};
+use crate::options::{ExecOptions, RecoveryPolicy};
 use crate::report::{CoSimReport, ExecutionReport, FaultStats, OpenReport, QueryExecReport};
 use crate::router::OutputRouter;
 use crate::strategy::{PushConfig, StealScope, Strategy};
@@ -182,8 +182,6 @@ struct OpenState<'a> {
     admission_seq: u64,
     lane_seq: Vec<u64>,
     lane_template: Vec<usize>,
-    /// FP cost-model error draws, one allocation per admission.
-    fp_rng: StdRng,
     response: LatencyHistogram,
     wait: LatencyHistogram,
     slowdown: LatencyHistogram,
@@ -210,6 +208,50 @@ struct OpenState<'a> {
     /// the makespan past the engine's last event when the tail of the run is
     /// served without touching a lane.
     front_finish: SimTime,
+}
+
+impl OpenState<'_> {
+    /// The open-system view of a finished run: the aggregate plus the
+    /// latency sketches and front-end accounting (no per-query
+    /// materialization).
+    fn into_report(self, aggregate: ExecutionReport) -> OpenReport {
+        // Front-end retirements (cache hits, follower fan-outs) happen off
+        // the calendar, so the run can end after the engine's last event.
+        let makespan = aggregate
+            .response_time
+            .as_secs_f64()
+            .max(self.front_finish.as_secs_f64());
+        let throughput_qps = if makespan > 0.0 {
+            self.completed as f64 / makespan
+        } else {
+            0.0
+        };
+        let cache = self.cache.stats();
+        let frontend = FrontendStats {
+            cache_hits: cache.hits,
+            cache_stale: cache.stale,
+            cache_evictions: cache.evictions,
+            cache_misses: cache.misses,
+            cache_bypass: self.cache_bypass,
+            coalesced: self.flight.coalesced(),
+            engine_queries: self.engine_queries,
+        };
+        OpenReport {
+            aggregate,
+            completed: self.completed,
+            peak_live: self.peak_live,
+            throughput_qps,
+            response: self.response,
+            wait: self.wait,
+            slowdown: self.slowdown,
+            response_by_class: self.response_by_class,
+            frontend,
+            engine_by_template: self.engine_by_template,
+            response_engine: self.response_engine,
+            response_cache_hit: self.response_cache_hit,
+            response_coalesced: self.response_coalesced,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -423,11 +465,10 @@ struct OpNodeRuntime {
     started_disks: BTreeSet<u32>,
     /// Round-robin cursor for placing acquired activations into queues.
     steal_cursor: usize,
-    /// Bitmask of queues holding at least one activation (bit = slot index,
-    /// maintained for slots < 64 — wider machines fall back to scanning).
-    /// Lets work selection jump straight to a loaded queue instead of
-    /// probing every empty one.
-    nonempty: u64,
+    /// Queues holding at least one activation (bit = slot index). Lets work
+    /// selection jump straight to a loaded queue instead of probing every
+    /// empty one.
+    nonempty: BitSet,
 }
 
 impl OpNodeRuntime {
@@ -447,7 +488,7 @@ impl OpNodeRuntime {
             hash_copied_from: BTreeSet::new(),
             started_disks: BTreeSet::new(),
             steal_cursor: 0,
-            nonempty: 0,
+            nonempty: BitSet::default(),
         }
     }
 
@@ -472,8 +513,8 @@ impl OpNodeRuntime {
     fn enqueue(&mut self, slot: usize, a: Activation) -> bool {
         let pushed = self.queues[slot].push(a);
         self.queued += pushed as u32;
-        if pushed && slot < 64 {
-            self.nonempty |= 1u64 << slot;
+        if pushed {
+            self.nonempty.insert(slot);
         }
         pushed
     }
@@ -489,8 +530,8 @@ impl OpNodeRuntime {
     fn dequeue(&mut self, slot: usize) -> Option<Activation> {
         let a = self.queues[slot].pop();
         self.queued -= a.is_some() as u32;
-        if a.is_some() && slot < 64 && self.queues[slot].is_empty() {
-            self.nonempty &= !(1u64 << slot);
+        if a.is_some() && self.queues[slot].is_empty() {
+            self.nonempty.remove(slot);
         }
         a
     }
@@ -504,8 +545,8 @@ impl OpNodeRuntime {
     ) -> DrainOutcome {
         let outcome = self.queues[slot].drain_into(max, out);
         self.queued -= outcome.count as u32;
-        if outcome.count > 0 && slot < 64 && self.queues[slot].is_empty() {
-            self.nonempty &= !(1u64 << slot);
+        if outcome.count > 0 && self.queues[slot].is_empty() {
+            self.nonempty.remove(slot);
         }
         outcome
     }
@@ -536,16 +577,13 @@ impl OpNodeRuntime {
         self.queues.iter().map(|q| q.queued_tuples()).sum::<u64>() + self.parked_tuples
     }
 
-    /// The nonempty-queue bitmask, consistency-checked in debug builds.
-    /// Only meaningful when every slot fits the mask (`queues.len() <= 64`).
-    fn nonempty_mask(&self) -> u64 {
+    /// The nonempty-queue set, consistency-checked in debug builds.
+    fn nonempty(&self) -> &BitSet {
         debug_assert!(
-            self.queues.len() > 64
-                || (0..self.queues.len())
-                    .all(|s| self.queues[s].is_empty() != (self.nonempty >> s & 1 == 1)),
-            "nonempty bitmask drifted from queue contents"
+            (0..self.queues.len()).all(|s| self.queues[s].is_empty() != self.nonempty.contains(s)),
+            "nonempty bitset drifted from queue contents"
         );
-        self.nonempty
+        &self.nonempty
     }
 
     fn queued_activations(&self) -> usize {
@@ -563,7 +601,6 @@ impl OpNodeRuntime {
 }
 
 struct ThreadRuntime {
-    idle: bool,
     /// FP only: the set of global operator indices this thread's static
     /// allocation permits, as a bitset so the per-op membership test in
     /// work selection is a word probe instead of a tree walk.
@@ -580,6 +617,16 @@ struct LaneHot {
     base: u32,
     n_ops: u32,
     started: bool,
+}
+
+impl LaneHot {
+    fn of(lane: &LaneRuntime<'_>) -> Self {
+        Self {
+            base: lane.base as u32,
+            n_ops: lane.n_ops as u32,
+            started: lane.started,
+        }
+    }
 }
 
 /// One collected steal offer: `(provider, op, tuples, bytes, load, epoch)`.
@@ -618,12 +665,11 @@ pub(crate) struct QueueEngine<'a> {
     strategy: Strategy,
     /// Cached [`Policy::push_config`] (`None` for pull-only policies, so the
     /// push probe in the data-delivery path costs one branch there).
+    /// Policies are stateless singletons with fixed parameters, so the
+    /// hot-loop hooks are snapshot once at construction and the steal and
+    /// push paths branch on plain fields instead of paying virtual dispatch
+    /// per event.
     push: Option<PushConfig>,
-    /// Cached [`Policy::custom_work_mask`]: policies are stateless
-    /// singletons with fixed parameters, so the hot-loop hooks below are
-    /// snapshot once at construction and the selection/steal paths branch on
-    /// plain fields instead of paying virtual dispatch per event.
-    custom_mask: bool,
     /// Cached [`Policy::starving_scope`].
     scope: StealScope,
     /// Cached [`Policy::prefers_cached_tables`].
@@ -651,13 +697,15 @@ pub(crate) struct QueueEngine<'a> {
     /// instead of touching every operator's queue state; every queue
     /// mutation site keeps it in sync.
     ready: Vec<BitSet>,
-    /// Per-node bitmask of idle threads (bit `t` = thread `t` is idle),
-    /// mirroring `ThreadRuntime::idle` so wake scans are a word probe.
-    /// Only maintained for machines with at most 64 threads per node;
-    /// wider nodes fall back to the boolean scan.
-    idle_threads: Vec<u64>,
+    /// Per-node set of idle threads (bit `t` = thread `t` is idle); wake
+    /// scans walk it a word at a time.
+    idle_threads: Vec<BitSet>,
     op_nodes: Vec<Vec<Option<OpNodeRuntime>>>,
     threads: Vec<Vec<ThreadRuntime>>,
+    /// FP cost-model error draws: one allocation per installed lane, in
+    /// installation order (mix order for a fixed query list, admission
+    /// order for an open run).
+    fp_rng: StdRng,
     node_lb: Vec<NodeLb>,
     disk_cursor: Vec<u32>,
 
@@ -696,136 +744,271 @@ pub(crate) struct QueueEngine<'a> {
     finished_at: SimTime,
 }
 
-impl<'a> QueueEngine<'a> {
-    pub(crate) fn new(
-        plan: &'a ParallelPlan,
-        config: SystemConfig,
-        strategy: Strategy,
-        options: ExecOptions,
-    ) -> Result<Self> {
-        Self::new_cosim(
-            &[CoSimQuery {
-                plan,
-                arrival_secs: 0.0,
-                priority: 1,
-                skew: options.skew,
-                mask: None,
-                memory_bytes: 0,
-            }],
-            config,
-            strategy,
-            options,
-            &[],
-        )
-    }
+/// What an engine is built from.
+enum Workload<'q, 'a> {
+    /// A fixed query list: closed and co-simulated runs (a single plan is a
+    /// one-query list). Every lane is installed at construction.
+    Fixed(&'q [CoSimQuery<'a>]),
+    /// An arrival stream over a template pool: a pool of empty lane slots,
+    /// installed per admission and recycled on retirement.
+    Open(&'q OpenTraffic<'a>),
+}
 
-    pub(crate) fn new_cosim(
-        queries: &[CoSimQuery<'a>],
+/// Checks one query against the machine: a valid plan whose operators all
+/// have a home node inside the machine (unless a placement mask re-homes
+/// them), priority ≥ 1, a finite non-negative arrival, skew in `[0, 1]` and
+/// a working set that fits on its placement. Returns the normalized (sorted,
+/// deduplicated) mask and the per-node share of the working set.
+fn validate_query(
+    what: &str,
+    q: &CoSimQuery<'_>,
+    config: &SystemConfig,
+) -> Result<(Option<Vec<NodeId>>, u64)> {
+    q.plan.validate()?;
+    if q.priority == 0 {
+        return Err(DlbError::config(format!(
+            "{what} has priority 0 (priorities are ≥ 1)"
+        )));
+    }
+    if !(q.arrival_secs.is_finite() && q.arrival_secs >= 0.0) {
+        return Err(DlbError::config(format!(
+            "{what} has invalid arrival {}",
+            q.arrival_secs
+        )));
+    }
+    if !(q.skew.is_finite() && (0.0..=1.0).contains(&q.skew)) {
+        return Err(DlbError::config(format!(
+            "{what} has skew {} outside [0, 1]",
+            q.skew
+        )));
+    }
+    let nodes = config.machine.nodes as usize;
+    let mask = match q.mask {
+        None => {
+            for op in q.plan.tree.operators() {
+                let homes = q.plan.homes.home(op.id);
+                if !homes.nodes().iter().any(|n| n.index() < nodes) {
+                    return Err(DlbError::plan(format!(
+                        "{what}: operator {} has no home node within the machine",
+                        op.id
+                    )));
+                }
+            }
+            None
+        }
+        Some([]) => {
+            return Err(DlbError::config(format!(
+                "{what} has an empty placement mask"
+            )))
+        }
+        Some(mask) => {
+            let mut mask = mask.to_vec();
+            mask.sort_unstable();
+            mask.dedup();
+            if let Some(bad) = mask.iter().find(|n| n.index() >= nodes) {
+                return Err(DlbError::config(format!(
+                    "{what} is pinned to node {bad} but the machine has {nodes} nodes"
+                )));
+            }
+            Some(mask)
+        }
+    };
+    let placement = mask.as_ref().map_or(nodes, Vec::len);
+    let mem_per_node = q.memory_bytes.div_ceil(placement as u64);
+    if mem_per_node > config.machine.memory_per_node_bytes {
+        return Err(DlbError::config(format!(
+            "{what} needs {mem_per_node} bytes on each of its {placement} placement \
+             node(s) but nodes have {} — it can never be admitted",
+            config.machine.memory_per_node_bytes
+        )));
+    }
+    Ok((mask, mem_per_node))
+}
+
+impl<'a> LaneRuntime<'a> {
+    /// A lane running `plan` from global operator `base`: arrival at time
+    /// zero, priority 1, the plan's own homes, nothing reserved, not started.
+    /// Callers override what differs.
+    fn new(plan: &'a ParallelPlan, base: usize, skew: f64) -> Self {
+        Self {
+            plan,
+            arrival: SimTime::ZERO,
+            priority: 1,
+            skew,
+            mask: None,
+            memory_bytes: 0,
+            mem_per_node: 0,
+            reserved: Vec::new(),
+            released: false,
+            base,
+            n_ops: plan.tree.operators().len(),
+            started: false,
+            admitted_at: SimTime::ZERO,
+            ops_terminated: 0,
+            finished_at: SimTime::ZERO,
+            activations: 0,
+            tuples_processed: 0,
+            result_tuples: 0,
+        }
+    }
+}
+
+impl<'a> QueueEngine<'a> {
+    /// Builds an engine over `workload` and kicks off every thread. A fixed
+    /// query list installs every lane now and admits the queries that arrive
+    /// at time zero; an open run starts from a pool of empty lane slots and
+    /// schedules its first arrival.
+    fn new(
+        workload: Workload<'_, 'a>,
         config: SystemConfig,
         strategy: Strategy,
         options: ExecOptions,
         topology: &[TopologyEvent],
     ) -> Result<Self> {
-        if queries.is_empty() {
-            return Err(DlbError::config("co-simulation needs at least one query"));
+        if !strategy.queue_based() {
+            return Err(DlbError::config(
+                "co-simulated and open runs require a queue-based strategy; \
+                 SP has no activation queues to interleave",
+            ));
         }
         if config.machine.nodes == 0 || config.machine.processors_per_node == 0 {
             return Err(DlbError::config(
                 "machine needs at least one node and processor",
             ));
         }
-        let machine_nodes = config.machine.nodes as usize;
         let topology = validate_topology(topology, config.machine.nodes)?;
-        let mut lanes: Vec<LaneRuntime<'a>> = Vec::with_capacity(queries.len());
-        let mut base = 0usize;
-        for (i, q) in queries.iter().enumerate() {
-            q.plan.validate()?;
-            if q.priority == 0 {
-                return Err(DlbError::config(format!(
-                    "co-simulated query {i} has priority 0 (priorities are ≥ 1)"
-                )));
-            }
-            if !(q.arrival_secs.is_finite() && q.arrival_secs >= 0.0) {
-                return Err(DlbError::config(format!(
-                    "co-simulated query {i} has invalid arrival {}",
-                    q.arrival_secs
-                )));
-            }
-            if !(q.skew.is_finite() && (0.0..=1.0).contains(&q.skew)) {
-                return Err(DlbError::config(format!(
-                    "co-simulated query {i} has skew {} outside [0, 1]",
-                    q.skew
-                )));
-            }
-            let mask: Option<Vec<NodeId>> = match q.mask {
-                None => None,
-                Some(nodes) => {
-                    if nodes.is_empty() {
-                        return Err(DlbError::config(format!(
-                            "co-simulated query {i} has an empty placement mask"
-                        )));
-                    }
-                    let mut mask: Vec<NodeId> = nodes.to_vec();
-                    mask.sort_unstable();
-                    mask.dedup();
-                    if let Some(bad) = mask.iter().find(|n| n.index() >= machine_nodes) {
-                        return Err(DlbError::config(format!(
-                            "co-simulated query {i} is pinned to node {bad} but the \
-                             machine has {machine_nodes} nodes"
-                        )));
-                    }
-                    Some(mask)
+        let (lanes, lane_order, total_ops, open) = match workload {
+            Workload::Fixed(queries) => {
+                if queries.is_empty() {
+                    return Err(DlbError::config("co-simulation needs at least one query"));
                 }
-            };
-            let placement_len = mask.as_ref().map_or(machine_nodes, Vec::len);
-            let mem_per_node = q.memory_bytes.div_ceil(placement_len as u64);
-            if mem_per_node > config.machine.memory_per_node_bytes {
-                return Err(DlbError::config(format!(
-                    "co-simulated query {i} needs {mem_per_node} bytes on each of its \
-                     {placement_len} placement node(s) but nodes have {} — it can \
-                     never be admitted",
-                    config.machine.memory_per_node_bytes
-                )));
+                let mut lanes: Vec<LaneRuntime<'a>> = Vec::with_capacity(queries.len());
+                let mut base = 0;
+                for (i, q) in queries.iter().enumerate() {
+                    let what = format!("co-simulated query {i}");
+                    let (mask, mem_per_node) = validate_query(&what, q, &config)?;
+                    let lane = LaneRuntime {
+                        arrival: SimTime::ZERO + Duration::from_secs_f64(q.arrival_secs),
+                        priority: q.priority,
+                        mask,
+                        memory_bytes: q.memory_bytes,
+                        mem_per_node,
+                        ..LaneRuntime::new(q.plan, base, q.skew)
+                    };
+                    base += lane.n_ops;
+                    lanes.push(lane);
+                }
+                // Local-scheduling order: priority descending, mix index
+                // ascending on ties.
+                let mut order: Vec<usize> = (0..lanes.len()).collect();
+                order.sort_by(|&a, &b| lanes[b].priority.cmp(&lanes[a].priority).then(a.cmp(&b)));
+                (lanes, order, base, None)
             }
-            let n_ops = q.plan.tree.operators().len();
-            lanes.push(LaneRuntime {
-                plan: q.plan,
-                arrival: SimTime::ZERO + Duration::from_secs_f64(q.arrival_secs),
-                priority: q.priority,
-                skew: q.skew,
-                mask,
-                memory_bytes: q.memory_bytes,
-                mem_per_node,
-                reserved: Vec::new(),
-                released: false,
-                base,
-                n_ops,
-                started: false,
-                admitted_at: SimTime::ZERO,
-                ops_terminated: 0,
-                finished_at: SimTime::ZERO,
-                activations: 0,
-                tuples_processed: 0,
-                result_tuples: 0,
-            });
-            base += n_ops;
-        }
-        let mut lane_order: Vec<usize> = (0..lanes.len()).collect();
-        lane_order.sort_by(|&a, &b| lanes[b].priority.cmp(&lanes[a].priority).then(a.cmp(&b)));
-        let lane_hot = lanes
-            .iter()
-            .map(|l| LaneHot {
-                base: l.base as u32,
-                n_ops: l.n_ops as u32,
-                started: l.started,
-            })
-            .collect();
+            Workload::Open(traffic) => {
+                if traffic.templates.is_empty() {
+                    return Err(DlbError::config("open traffic needs at least one template"));
+                }
+                if traffic.concurrency == 0 {
+                    return Err(DlbError::config(
+                        "open traffic needs a concurrency level of at least 1",
+                    ));
+                }
+                if traffic.arrivals.templates != traffic.templates.len() {
+                    return Err(DlbError::config(format!(
+                        "arrival spec draws from {} template(s) but {} were supplied",
+                        traffic.arrivals.templates,
+                        traffic.templates.len()
+                    )));
+                }
+                traffic.frontend.validate().map_err(DlbError::config)?;
+                for (i, t) in traffic.templates.iter().enumerate() {
+                    // Every instance runs with the options' skew, on the
+                    // whole machine, admitted from the waiting room.
+                    let instance = CoSimQuery {
+                        plan: t.plan,
+                        arrival_secs: 0.0,
+                        priority: 1,
+                        skew: options.skew,
+                        mask: None,
+                        memory_bytes: t.memory_bytes,
+                    };
+                    validate_query(&format!("open template {i}"), &instance, &config)?;
+                    if !(t.solo_secs.is_finite() && t.solo_secs >= 0.0) {
+                        return Err(DlbError::config(format!(
+                            "open template {i} has invalid solo time {}",
+                            t.solo_secs
+                        )));
+                    }
+                }
+                let mut stream = ArrivalStream::new(traffic.arrivals).map_err(DlbError::config)?;
+                let max_ops = traffic
+                    .templates
+                    .iter()
+                    .map(|t| t.plan.tree.operators().len())
+                    .max()
+                    .expect("at least one template");
+                let concurrency = traffic.concurrency;
+                // Slot pool: every lane starts empty (retired) over a fixed
+                // range of `max_ops` operator slots, populated per admission.
+                let lanes = (0..concurrency)
+                    .map(|i| LaneRuntime {
+                        released: true,
+                        n_ops: 0,
+                        ..LaneRuntime::new(traffic.templates[0].plan, i * max_ops, options.skew)
+                    })
+                    .collect();
+                let priority_classes = traffic.arrivals.priority_classes as usize;
+                let upcoming = stream.next();
+                let open = OpenState {
+                    templates: traffic.templates.clone(),
+                    arrivals_done: upcoming.is_none(),
+                    upcoming,
+                    stream,
+                    pending: VecDeque::new(),
+                    free_slots: (0..concurrency).rev().collect(),
+                    live_now: 0,
+                    peak_live: 0,
+                    completed: 0,
+                    admission_seq: 0,
+                    lane_seq: vec![0; concurrency],
+                    lane_template: vec![0; concurrency],
+                    response: LatencyHistogram::new(),
+                    wait: LatencyHistogram::new(),
+                    slowdown: LatencyHistogram::new(),
+                    response_by_class: (0..priority_classes.max(1))
+                        .map(|_| LatencyHistogram::new())
+                        .collect(),
+                    frontend: traffic.frontend,
+                    cache: ResultCache::new(
+                        traffic.frontend.cache_capacity,
+                        traffic.frontend.cache_ttl_secs,
+                    ),
+                    flight: SingleFlight::new(),
+                    cache_bypass: 0,
+                    engine_queries: 0,
+                    engine_by_template: vec![0; traffic.templates.len()],
+                    response_engine: LatencyHistogram::new(),
+                    response_cache_hit: LatencyHistogram::new(),
+                    response_coalesced: LatencyHistogram::new(),
+                    front_finish: SimTime::ZERO,
+                };
+                let order = (0..concurrency).collect();
+                (lanes, order, concurrency * max_ops, Some(open))
+            }
+        };
+
         let nodes = config.machine.nodes as usize;
         let threads_per_node = config.machine.processors_per_node as usize;
         let disks_per_node =
             (config.machine.processors_per_node * config.disk.disks_per_processor).max(1);
-        let cost = CostModel::new(config.costs, config.disk, config.cpu);
-
+        // Every operator slot starts as a terminated placeholder of its lane;
+        // installing the lane revives it.
+        let mut ops = Vec::with_capacity(total_ops);
+        for (l, lane) in lanes.iter().enumerate() {
+            let end = lanes.get(l + 1).map_or(total_ops, |next| next.base);
+            ops.extend((lane.base..end).map(|_| Self::placeholder_op(l)));
+        }
+        let lane_hot = lanes.iter().map(LaneHot::of).collect();
         let mut engine = Self {
             lanes,
             lane_hot,
@@ -834,222 +1017,9 @@ impl<'a> QueueEngine<'a> {
             options,
             strategy,
             push: strategy.push_config(),
-            custom_mask: strategy.custom_work_mask(),
             scope: strategy.starving_scope(),
             prefers_cached: strategy.prefers_cached_tables(),
-            cost,
-            nodes,
-            threads_per_node,
-            disks_per_node,
-            calendar: EventCalendar::new(),
-            disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
-            network: Network::new(config.network, config.cpu),
-            cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
-            ops: Vec::new(),
-            live_ops: BitSet::default(),
-            ready: (0..nodes).map(|_| BitSet::default()).collect(),
-            idle_threads: vec![0; nodes],
-            op_nodes: Vec::new(),
-            threads: Vec::new(),
-            node_lb: (0..nodes).map(|_| NodeLb::default()).collect(),
-            disk_cursor: vec![0; nodes],
-            epochs: Vec::new(),
-            open: None,
-            free_mem: vec![config.machine.memory_per_node_bytes; nodes],
-            admission_queue: VecDeque::new(),
-            topology,
-            live: vec![true; nodes],
-            faults: FaultStats::default(),
-            activations_done: 0,
-            tuples_processed: 0,
-            result_tuples: 0,
-            lb_requests: 0,
-            lb_acquisitions: 0,
-            lb_bytes: 0,
-            ops_terminated: 0,
-            finished_at: SimTime::ZERO,
-        };
-        engine.initialize()?;
-        engine.epochs = vec![0; engine.ops.len()];
-        Ok(engine)
-    }
-
-    /// Builds an engine in open-system mode: `concurrency` recyclable lane
-    /// slots, each owning a fixed contiguous range of `max_ops` operator
-    /// slots, fed by the arrival stream instead of a fixed query list.
-    pub(crate) fn new_open(
-        traffic: &OpenTraffic<'a>,
-        config: SystemConfig,
-        strategy: Strategy,
-        options: ExecOptions,
-    ) -> Result<Self> {
-        if traffic.templates.is_empty() {
-            return Err(DlbError::config("open traffic needs at least one template"));
-        }
-        if traffic.concurrency == 0 {
-            return Err(DlbError::config(
-                "open traffic needs a concurrency level of at least 1",
-            ));
-        }
-        if config.machine.nodes == 0 || config.machine.processors_per_node == 0 {
-            return Err(DlbError::config(
-                "machine needs at least one node and processor",
-            ));
-        }
-        if traffic.arrivals.templates != traffic.templates.len() {
-            return Err(DlbError::config(format!(
-                "arrival spec draws from {} template(s) but {} were supplied",
-                traffic.arrivals.templates,
-                traffic.templates.len()
-            )));
-        }
-        traffic.frontend.validate().map_err(DlbError::config)?;
-        let nodes = config.machine.nodes as usize;
-        for (i, t) in traffic.templates.iter().enumerate() {
-            t.plan.validate()?;
-            for op in t.plan.tree.operators() {
-                if !t
-                    .plan
-                    .homes
-                    .home(op.id)
-                    .nodes()
-                    .iter()
-                    .any(|n| n.index() < nodes)
-                {
-                    return Err(DlbError::plan(format!(
-                        "open template {i}: operator {} has no home node within the machine",
-                        op.id
-                    )));
-                }
-            }
-            let mem_per_node = t.memory_bytes.div_ceil(nodes as u64);
-            if mem_per_node > config.machine.memory_per_node_bytes {
-                return Err(DlbError::config(format!(
-                    "open template {i} needs {mem_per_node} bytes on every node but nodes \
-                     have {} — it can never be admitted",
-                    config.machine.memory_per_node_bytes
-                )));
-            }
-            if !(t.solo_secs.is_finite() && t.solo_secs >= 0.0) {
-                return Err(DlbError::config(format!(
-                    "open template {i} has invalid solo time {}",
-                    t.solo_secs
-                )));
-            }
-        }
-        let mut stream = ArrivalStream::new(traffic.arrivals).map_err(DlbError::config)?;
-        let max_ops = traffic
-            .templates
-            .iter()
-            .map(|t| t.plan.tree.operators().len())
-            .max()
-            .expect("at least one template");
-        let concurrency = traffic.concurrency;
-        let threads_per_node = config.machine.processors_per_node as usize;
-        let disks_per_node =
-            (config.machine.processors_per_node * config.disk.disks_per_processor).max(1);
-        let cost = CostModel::new(config.costs, config.disk, config.cpu);
-
-        // Slot pool: every lane starts empty (retired) and is populated per
-        // admission; every op slot starts as a terminated placeholder.
-        let lanes: Vec<LaneRuntime<'a>> = (0..concurrency)
-            .map(|i| LaneRuntime {
-                plan: traffic.templates[0].plan,
-                arrival: SimTime::ZERO,
-                priority: 1,
-                skew: options.skew,
-                mask: None,
-                memory_bytes: 0,
-                mem_per_node: 0,
-                reserved: Vec::new(),
-                released: true,
-                base: i * max_ops,
-                n_ops: 0,
-                started: false,
-                admitted_at: SimTime::ZERO,
-                ops_terminated: 0,
-                finished_at: SimTime::ZERO,
-                activations: 0,
-                tuples_processed: 0,
-                result_tuples: 0,
-            })
-            .collect();
-        let total_ops = concurrency * max_ops;
-        let ops: Vec<OpRuntime> = (0..total_ops)
-            .map(|i| Self::placeholder_op(i / max_ops))
-            .collect();
-        let op_nodes: Vec<Vec<Option<OpNodeRuntime>>> = (0..total_ops)
-            .map(|_| (0..nodes).map(|_| None).collect())
-            .collect();
-        // FP threads start with empty allowed sets; admissions insert a
-        // fresh per-lane allocation, retirements remove it again.
-        let threads: Vec<Vec<ThreadRuntime>> = (0..nodes)
-            .map(|_| {
-                (0..threads_per_node)
-                    .map(|_| ThreadRuntime {
-                        idle: false,
-                        allowed: strategy.constrains_threads().then(BitSet::default),
-                    })
-                    .collect()
-            })
-            .collect();
-        let priority_classes = traffic.arrivals.priority_classes as usize;
-        let upcoming = stream.next();
-        let open = OpenState {
-            templates: traffic.templates.clone(),
-            arrivals_done: upcoming.is_none(),
-            upcoming,
-            stream,
-            pending: VecDeque::new(),
-            free_slots: (0..concurrency).rev().collect(),
-            live_now: 0,
-            peak_live: 0,
-            completed: 0,
-            admission_seq: 0,
-            lane_seq: vec![0; concurrency],
-            lane_template: vec![0; concurrency],
-            fp_rng: rng_from_seed(options.seed),
-            response: LatencyHistogram::new(),
-            wait: LatencyHistogram::new(),
-            slowdown: LatencyHistogram::new(),
-            response_by_class: (0..priority_classes.max(1))
-                .map(|_| LatencyHistogram::new())
-                .collect(),
-            frontend: traffic.frontend,
-            cache: ResultCache::new(
-                traffic.frontend.cache_capacity,
-                traffic.frontend.cache_ttl_secs,
-            ),
-            flight: SingleFlight::new(),
-            cache_bypass: 0,
-            engine_queries: 0,
-            engine_by_template: vec![0; traffic.templates.len()],
-            response_engine: LatencyHistogram::new(),
-            response_cache_hit: LatencyHistogram::new(),
-            response_coalesced: LatencyHistogram::new(),
-            front_finish: SimTime::ZERO,
-        };
-
-        let lane_hot = lanes
-            .iter()
-            .map(|l| LaneHot {
-                base: l.base as u32,
-                n_ops: l.n_ops as u32,
-                started: l.started,
-            })
-            .collect();
-        let mut engine = Self {
-            lanes,
-            lane_hot,
-            lane_order: (0..concurrency).collect(),
-            config,
-            options,
-            strategy,
-            push: strategy.push_config(),
-            custom_mask: strategy.custom_work_mask(),
-            scope: strategy.starving_scope(),
-            prefers_cached: strategy.prefers_cached_tables(),
-            cost,
+            cost: CostModel::new(config.costs, config.disk, config.cpu),
             nodes,
             threads_per_node,
             disks_per_node,
@@ -1058,22 +1028,35 @@ impl<'a> QueueEngine<'a> {
             network: Network::new(config.network, config.cpu),
             cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
             ops,
-            // Placeholder slots are all terminated; admissions insert the
-            // revived op indices, terminations remove them again.
             live_ops: BitSet::with_capacity(total_ops),
             ready: (0..nodes)
                 .map(|_| BitSet::with_capacity(total_ops))
                 .collect(),
-            idle_threads: vec![0; nodes],
-            op_nodes,
-            threads,
+            idle_threads: (0..nodes)
+                .map(|_| BitSet::with_capacity(threads_per_node))
+                .collect(),
+            op_nodes: (0..total_ops)
+                .map(|_| (0..nodes).map(|_| None).collect())
+                .collect(),
+            // FP threads start with empty allowed sets: installing a lane
+            // grants its allocation, retiring it withdraws it again.
+            threads: (0..nodes)
+                .map(|_| {
+                    (0..threads_per_node)
+                        .map(|_| ThreadRuntime {
+                            allowed: strategy.constrains_threads().then(BitSet::default),
+                        })
+                        .collect()
+                })
+                .collect(),
+            fp_rng: rng_from_seed(options.seed),
             node_lb: (0..nodes).map(|_| NodeLb::default()).collect(),
             disk_cursor: vec![0; nodes],
             epochs: vec![0; total_ops],
-            open: Some(open),
+            open,
             free_mem: vec![config.machine.memory_per_node_bytes; nodes],
             admission_queue: VecDeque::new(),
-            topology: Vec::new(),
+            topology,
             live: vec![true; nodes],
             faults: FaultStats::default(),
             activations_done: 0,
@@ -1086,28 +1069,68 @@ impl<'a> QueueEngine<'a> {
             finished_at: SimTime::ZERO,
         };
 
-        // Kick off every thread, then schedule the first arrival (threads at
-        // the same instant run first — they find nothing and go idle, and
-        // the admission wakes them with the seeded triggers in place).
-        for node in 0..engine.nodes {
-            for thread in 0..engine.threads_per_node {
+        if engine.open.is_none() {
+            // Lane 0's operators come first, so single-query indices
+            // coincide with plan-local indices.
+            for lane in 0..engine.lanes.len() {
+                engine.install_lane(lane);
+            }
+            // Every lane already arrived at time zero enters the admission
+            // queue in mix order and is admitted — memory reserved, triggers
+            // seeded — while its placement has room (head-of-line FCFS,
+            // exactly like `mix::schedule_mix`); later arrivals get a
+            // QueryStart event at their instant.
+            for lane in 0..engine.lanes.len() {
+                let arrival = engine.lanes[lane].arrival;
+                if arrival == SimTime::ZERO {
+                    engine.admission_queue.push_back(lane);
+                } else {
+                    engine
+                        .calendar
+                        .schedule_at(arrival, Event::QueryStart { lane });
+                }
+            }
+            while let Some(lane) = engine.try_reserve_head() {
+                engine.start_lane(lane);
+            }
+        }
+
+        // Kick off every thread at time zero. Threads run before an open
+        // run's first arrival at the same instant: they find nothing and go
+        // idle, and the admission wakes them with the seeded triggers in
+        // place.
+        for node in 0..nodes {
+            for thread in 0..threads_per_node {
                 engine
                     .calendar
                     .schedule_at(SimTime::ZERO, Event::ThreadReady { node, thread });
             }
         }
-        if let Some(first) = engine.open.as_ref().expect("open mode").upcoming {
+        // Inject the topology stream: each validated event fires at its
+        // instant. Events past the end of the run are simply never popped.
+        for index in 0..engine.topology.len() {
+            let at = SimTime::ZERO + Duration::from_secs_f64(engine.topology[index].at_secs);
+            engine.calendar.schedule_at(at, Event::Topology { index });
+        }
+        if let Some(first) = engine.open.as_ref().and_then(|open| open.upcoming) {
             engine.calendar.schedule_at(
                 SimTime::ZERO + Duration::from_secs_f64(first.offset_secs),
                 Event::OpenArrival,
             );
         }
+        // Scans with no local data (or empty relations) can complete right
+        // away; run an initial end check over everything already started.
+        for op in 0..engine.ops.len() {
+            for node in 0..nodes {
+                engine.check_local_end(op, node);
+            }
+        }
         Ok(engine)
     }
 
-    /// A permanently terminated operator slot: what unused and retired op
-    /// slots of an open run hold. Empty home, no queue state, scan kind (so
-    /// every steal-candidate filter skips it).
+    /// A permanently terminated operator slot: what uninstalled and retired
+    /// op slots hold. Empty home, no queue state, scan kind (so every
+    /// steal-candidate filter skips it).
     fn placeholder_op(lane: usize) -> OpRuntime {
         OpRuntime {
             lane,
@@ -1130,208 +1153,105 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
-    fn initialize(&mut self) -> Result<()> {
-        // Per-operator global state, lane by lane (lane 0's operators first,
-        // so single-query indices coincide with plan-local indices).
-        for lane_idx in 0..self.lanes.len() {
-            let lane = &self.lanes[lane_idx];
-            let plan = lane.plan;
-            let base = lane.base;
-            let skew = lane.skew;
-            let joins = plan.tree.joins();
-            for op in plan.tree.operators() {
-                // A placement mask re-homes every operator of the lane onto
-                // the mask's nodes; without one the plan's own homes apply
-                // (clipped to the machine).
-                let home: Vec<NodeId> = match &lane.mask {
-                    Some(mask) => mask.clone(),
-                    None => plan
-                        .homes
-                        .home(op.id)
-                        .nodes()
-                        .iter()
-                        .copied()
-                        .filter(|n| n.index() < self.nodes)
-                        .collect(),
-                };
-                if home.is_empty() {
-                    return Err(DlbError::plan(format!(
-                        "operator {} has no home node within the machine",
-                        op.id
-                    )));
-                }
-                let mut blockers: Vec<OperatorId> = plan.blocked_by(op.id);
-                blockers.sort_unstable();
-                blockers.dedup();
-                let output_ratio = if op.input_tuples == 0 {
-                    0.0
-                } else {
-                    op.output_tuples as f64 / op.input_tuples as f64
-                };
-                let build_twin = match op.kind {
-                    OperatorKind::Probe { join } => joins.get(&join).map(|(b, _)| base + b.index()),
-                    _ => None,
-                };
-                let slots = home.len() * self.threads_per_node;
-                self.ops.push(OpRuntime {
-                    lane: lane_idx,
-                    kind: op.kind,
-                    consumer: op.consumer.map(|c| base + c.index()),
-                    home,
-                    output_ratio,
-                    blockers_remaining: blockers.len(),
-                    terminated: false,
-                    // The rotation uses the *global* index so that the hot
-                    // slots of same-shaped queries in a co-simulated mix do
-                    // not all land on the same threads (for a single query
-                    // the global index is the plan-local index).
-                    router: OutputRouter::new(slots, skew, base + op.id.index()),
-                    input_sent: 0,
-                    input_delivered: 0,
-                    input_processed: 0,
-                    phase1_reports: 0,
-                    phase2_started: false,
-                    phase2_confirms: 0,
-                    build_twin,
-                });
-            }
-        }
-
-        // Closed mode never recycles op slots: every operator starts live.
-        self.live_ops = (0..self.ops.len()).collect();
-
-        // Per-(op, node) state for home nodes.
-        for op_idx in 0..self.ops.len() {
-            let mut per_node: Vec<Option<OpNodeRuntime>> = (0..self.nodes).map(|_| None).collect();
-            for node in &self.ops[op_idx].home {
-                per_node[node.index()] = Some(OpNodeRuntime::new(
+    /// Installs lane `slot`'s plan over the slot's operator range, re-homed
+    /// onto the lane's placement mask when it has one: a fresh [`OpRuntime`]
+    /// per operator and an [`OpNodeRuntime`] per home node. Strategies with
+    /// static thread allocations (FP) draw one allocation for the lane and
+    /// grant it to the threads of every placement node. The only place that
+    /// builds operator state: a fixed query list installs every lane at
+    /// construction, an open run one lane per admission.
+    fn install_lane(&mut self, slot: usize) {
+        let (plan, base, skew) = {
+            let lane = &self.lanes[slot];
+            (lane.plan, lane.base, lane.skew)
+        };
+        let joins = plan.tree.joins();
+        for op in plan.tree.operators() {
+            let idx = base + op.id.index();
+            let home: Vec<NodeId> = match &self.lanes[slot].mask {
+                Some(mask) => mask.clone(),
+                None => plan
+                    .homes
+                    .home(op.id)
+                    .nodes()
+                    .iter()
+                    .copied()
+                    .filter(|n| n.index() < self.nodes)
+                    .collect(),
+            };
+            let mut blockers: Vec<OperatorId> = plan.blocked_by(op.id);
+            blockers.sort_unstable();
+            blockers.dedup();
+            let output_ratio = if op.input_tuples == 0 {
+                0.0
+            } else {
+                op.output_tuples as f64 / op.input_tuples as f64
+            };
+            let build_twin = match op.kind {
+                OperatorKind::Probe { join } => joins.get(&join).map(|(b, _)| base + b.index()),
+                _ => None,
+            };
+            for node in &home {
+                self.op_nodes[idx][node.index()] = Some(OpNodeRuntime::new(
                     self.threads_per_node,
                     self.options.flow.queue_capacity,
                 ));
             }
-            self.op_nodes.push(per_node);
-        }
-
-        // Threads: FP computes a per-node static allocation (one per lane
-        // homed on the node, mapped to global operator ids and unioned per
-        // thread), DP leaves them unconstrained. Under the default
-        // `ErrorRealization::Shared` each lane's distorted complexity
-        // estimates are drawn ONCE and the resulting allocation is reused by
-        // every node of its placement — the paper's reading: the optimizer
-        // mis-estimates a cardinality once, not once per node.
-        // `ErrorRealization::PerNode` keeps the historical fresh-draw-per-
-        // node behaviour for comparison studies.
-        let mut fp_rng = rng_from_seed(self.options.seed);
-        let shared_assignments: Option<Vec<crate::fp::ThreadAssignment>> =
-            if self.strategy.constrains_threads()
-                && self.options.fp_realization == ErrorRealization::Shared
-            {
-                Some(
-                    self.lanes
-                        .iter()
-                        .map(|lane| {
-                            self.strategy
-                                .allocate(
-                                    lane.plan,
-                                    self.threads_per_node as u32,
-                                    &self.cost,
-                                    &mut fp_rng,
-                                )
-                                .unwrap_or_default()
-                        })
-                        .collect(),
-                )
-            } else {
-                None
+            self.ops[idx] = OpRuntime {
+                lane: slot,
+                kind: op.kind,
+                consumer: op.consumer.map(|c| base + c.index()),
+                // The rotation uses the *global* index so that the hot slots
+                // of same-shaped queries in a mix do not all land on the
+                // same threads (for a single query the global index is the
+                // plan-local index).
+                router: OutputRouter::new(home.len() * self.threads_per_node, skew, idx),
+                home,
+                output_ratio,
+                blockers_remaining: blockers.len(),
+                terminated: false,
+                input_sent: 0,
+                input_delivered: 0,
+                input_processed: 0,
+                phase1_reports: 0,
+                phase2_started: false,
+                phase2_confirms: 0,
+                build_twin,
             };
-        for node in 0..self.nodes {
-            let allowed: Option<Vec<BitSet>> = if self.strategy.constrains_threads() {
-                let mut per_thread: Vec<BitSet> = vec![BitSet::default(); self.threads_per_node];
-                for (lane_idx, lane) in self.lanes.iter().enumerate() {
-                    // A pinned lane only constrains the threads of its
-                    // own placement nodes.
-                    if let Some(mask) = &lane.mask {
-                        if !mask.contains(&NodeId::from(node)) {
-                            continue;
-                        }
-                    }
-                    let fresh;
-                    let assignment = match &shared_assignments {
-                        Some(assignments) => &assignments[lane_idx],
-                        None => {
-                            fresh = self
-                                .strategy
-                                .allocate(
-                                    lane.plan,
-                                    self.threads_per_node as u32,
-                                    &self.cost,
-                                    &mut fp_rng,
-                                )
-                                .unwrap_or_default();
-                            &fresh
-                        }
-                    };
-                    for (t, ops) in assignment.iter().enumerate() {
-                        for o in ops {
-                            per_thread[t].insert(lane.base + o.index());
-                        }
+            // The slot counted as terminated while it held a placeholder.
+            self.ops_terminated -= 1;
+            self.live_ops.insert(idx);
+        }
+        // One distorted estimate per lane, reused by every node of its
+        // placement — the paper's reading: the optimizer mis-estimates a
+        // cardinality once, not once per node.
+        if self.strategy.constrains_threads() {
+            let assignment = self
+                .strategy
+                .allocate(
+                    plan,
+                    self.threads_per_node as u32,
+                    &self.cost,
+                    &mut self.fp_rng,
+                )
+                .unwrap_or_default();
+            for node in 0..self.nodes {
+                if let Some(mask) = &self.lanes[slot].mask {
+                    if !mask.contains(&NodeId::from(node)) {
+                        continue;
                     }
                 }
-                Some(per_thread)
-            } else {
-                None
-            };
-            let threads = (0..self.threads_per_node)
-                .map(|t| ThreadRuntime {
-                    idle: false,
-                    allowed: allowed.as_ref().map(|a| a[t].clone()),
-                })
-                .collect();
-            self.threads.push(threads);
-        }
-
-        // Every lane already arrived at time zero enters the admission queue
-        // in mix order and is admitted — memory reserved, triggers seeded —
-        // while its placement has room (head-of-line FCFS, exactly like
-        // `mix::schedule_mix`); later arrivals get a QueryStart event at
-        // their instant.
-        for lane_idx in 0..self.lanes.len() {
-            if self.lanes[lane_idx].arrival == SimTime::ZERO {
-                self.admission_queue.push_back(lane_idx);
-            } else {
-                self.calendar.schedule_at(
-                    self.lanes[lane_idx].arrival,
-                    Event::QueryStart { lane: lane_idx },
-                );
+                for (t, ops) in assignment.iter().enumerate() {
+                    let set = self.threads[node][t]
+                        .allowed
+                        .as_mut()
+                        .expect("FP threads carry allowed sets");
+                    for o in ops {
+                        set.insert(base + o.index());
+                    }
+                }
             }
         }
-        while let Some(lane) = self.try_reserve_head() {
-            self.start_lane(lane);
-        }
-
-        // Kick off every thread at time zero.
-        for node in 0..self.nodes {
-            for thread in 0..self.threads_per_node {
-                self.calendar
-                    .schedule_at(SimTime::ZERO, Event::ThreadReady { node, thread });
-            }
-        }
-
-        // Inject the topology stream: each validated event fires at its
-        // instant. Events past the end of the run are simply never popped.
-        for index in 0..self.topology.len() {
-            let at = SimTime::ZERO + Duration::from_secs_f64(self.topology[index].at_secs);
-            self.calendar.schedule_at(at, Event::Topology { index });
-        }
-
-        // Scans with no local data (or empty relations) can complete right
-        // away; run an initial end check over everything already started.
-        for op in 0..self.ops.len() {
-            for node in 0..self.nodes {
-                self.check_local_end(op, node);
-            }
-        }
-        Ok(())
     }
 
     /// Seeds trigger activations for one lane: the scan's partition on each
@@ -1416,8 +1336,12 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
-    /// Runs the event loop until [`Self::is_done`].
-    fn run_loop(&mut self) -> Result<()> {
+    /// Runs the event loop until [`Self::is_done`] and assembles the report:
+    /// the machine-wide aggregate, one entry per query of a fixed list and
+    /// the fault accounting. An open run's lanes are recycled slots, so it
+    /// reports no per-query entries; its samples stream into the
+    /// [`OpenState`] sketches instead (see [`OpenState::into_report`]).
+    fn run(&mut self) -> Result<CoSimReport> {
         while !self.is_done() {
             let Some((_, event)) = self.calendar.pop() else {
                 return Err(DlbError::exec(format!(
@@ -1445,17 +1369,8 @@ impl<'a> QueueEngine<'a> {
                 Event::OpenArrival => self.on_open_arrival(),
             }
         }
-        Ok(())
-    }
-
-    /// The machine-wide aggregate report of a finished run.
-    fn aggregate_report(&self) -> ExecutionReport {
         let response = self.finished_at.since(SimTime::ZERO);
-        let utilization = self.cpu.utilization(response);
-        let per_node_busy = (0..self.nodes)
-            .map(|n| self.cpu.node_busy(NodeId::from(n)))
-            .collect();
-        ExecutionReport {
+        let aggregate = ExecutionReport {
             strategy: self.strategy,
             nodes: self.config.machine.nodes,
             processors_per_node: self.config.machine.processors_per_node,
@@ -1465,101 +1380,45 @@ impl<'a> QueueEngine<'a> {
             result_tuples: self.result_tuples,
             total_busy: self.cpu.total_busy(),
             total_idle: self.cpu.total_idle(response),
-            utilization,
-            per_node_busy,
+            utilization: self.cpu.utilization(response),
+            per_node_busy: (0..self.nodes)
+                .map(|n| self.cpu.node_busy(NodeId::from(n)))
+                .collect(),
             messages: self.network.stats().messages,
             network_bytes: self.network.stats().bytes,
             lb_requests: self.lb_requests,
             lb_acquisitions: self.lb_acquisitions,
             lb_bytes: self.lb_bytes,
             events: self.calendar.processed(),
-        }
-    }
-
-    /// Runs the simulation to completion and produces the report.
-    pub(crate) fn run(mut self) -> Result<ExecutionReport> {
-        self.run_loop()?;
-        Ok(self.aggregate_report())
-    }
-
-    /// Runs the simulation to completion and produces the aggregate plus the
-    /// per-query breakdown (co-simulated mode).
-    pub(crate) fn run_cosim(mut self) -> Result<CoSimReport> {
-        self.run_loop()?;
-        let aggregate = self.aggregate_report();
-        let queries = self
-            .lanes
+        };
+        let lanes = if self.open.is_some() {
+            &[][..]
+        } else {
+            &self.lanes[..]
+        };
+        let queries = lanes
             .iter()
             .enumerate()
-            .map(|(i, lane)| {
-                let completion_secs = lane.finished_at.as_secs_f64();
+            .map(|(i, lane)| QueryExecReport {
+                query: i,
+                priority: lane.priority,
+                arrival_secs: lane.arrival.as_secs_f64(),
+                admitted_secs: lane.admitted_at.as_secs_f64(),
                 // Non-negative by construction: `start_lane` stamps
                 // `admitted_at` at the (post-arrival) admission instant and
                 // `SimTime::since` is saturating.
-                let wait_secs = lane.admitted_at.since(lane.arrival).as_secs_f64();
-                QueryExecReport {
-                    query: i,
-                    priority: lane.priority,
-                    arrival_secs: lane.arrival.as_secs_f64(),
-                    admitted_secs: lane.admitted_at.as_secs_f64(),
-                    wait_secs,
-                    completion_secs,
-                    response_secs: lane.finished_at.since(lane.arrival).as_secs_f64(),
-                    activations: lane.activations,
-                    tuples_processed: lane.tuples_processed,
-                    result_tuples: lane.result_tuples,
-                }
+                wait_secs: lane.admitted_at.since(lane.arrival).as_secs_f64(),
+                completion_secs: lane.finished_at.as_secs_f64(),
+                response_secs: lane.finished_at.since(lane.arrival).as_secs_f64(),
+                activations: lane.activations,
+                tuples_processed: lane.tuples_processed,
+                result_tuples: lane.result_tuples,
             })
             .collect();
         Ok(CoSimReport {
             aggregate,
             queries,
             faults: self.faults,
-        })
-    }
-
-    /// Runs an open-system simulation to completion and produces the
-    /// streaming report: aggregate counters plus the latency sketches (no
-    /// per-query materialization).
-    pub(crate) fn run_open(mut self) -> Result<OpenReport> {
-        self.run_loop()?;
-        let aggregate = self.aggregate_report();
-        let open = self.open.take().expect("open mode");
-        // Front-end retirements (cache hits, follower fan-outs) happen off
-        // the calendar, so the run can end after the engine's last event.
-        let makespan = aggregate
-            .response_time
-            .as_secs_f64()
-            .max(open.front_finish.as_secs_f64());
-        let throughput_qps = if makespan > 0.0 {
-            open.completed as f64 / makespan
-        } else {
-            0.0
-        };
-        let cache = open.cache.stats();
-        let frontend = FrontendStats {
-            cache_hits: cache.hits,
-            cache_stale: cache.stale,
-            cache_evictions: cache.evictions,
-            cache_misses: cache.misses,
-            cache_bypass: open.cache_bypass,
-            coalesced: open.flight.coalesced(),
-            engine_queries: open.engine_queries,
-        };
-        Ok(OpenReport {
-            aggregate,
-            completed: open.completed,
-            peak_live: open.peak_live,
-            throughput_qps,
-            response: open.response,
-            wait: open.wait,
-            slowdown: open.slowdown,
-            response_by_class: open.response_by_class,
-            frontend,
-            engine_by_template: open.engine_by_template,
-            response_engine: open.response_engine,
-            response_cache_hit: open.response_cache_hit,
-            response_coalesced: open.response_coalesced,
         })
     }
 
@@ -1602,6 +1461,10 @@ impl<'a> QueueEngine<'a> {
     /// and falls back to any other queue of the node, paying a small
     /// interference penalty. A higher-priority query's work — even on a
     /// non-primary queue — is taken before any lower-priority query's.
+    ///
+    /// Kept out of line so that the event loop stays compact; its per-lane
+    /// helpers are forced inline into it instead.
+    #[inline(never)]
     fn select_work(&mut self, node: usize, thread: usize) -> Option<(usize, Activation, bool)> {
         for li in 0..self.lane_order.len() {
             let lane = self.lane_order[li];
@@ -1616,108 +1479,49 @@ impl<'a> QueueEngine<'a> {
                 continue;
             }
             let (base, n_ops) = (hot.base as usize, hot.n_ops as usize);
-            if n_ops == 0 {
+            // The lane's candidates come one 64-operator word at a time (a
+            // plan of up to 64 operators is one word). Most lanes of a busy
+            // mix hold nothing for this thread: skip them before paying for
+            // the rotation.
+            let word0 = self.work_word(node, thread, base, n_ops, 0);
+            if word0 == 0 && self.ready[node].first_in(base + 64, base + n_ops).is_none() {
                 continue;
             }
-            if n_ops > 64 {
-                // Wide plans fall off the single-word fast path.
-                if let Some(found) = self.select_work_lane_scan(node, thread, base, n_ops) {
-                    return Some(found);
-                }
-                continue;
-            }
-            // One word holds the lane's candidate set: operators with work
-            // queued on this node, filtered by the strategy's run-time
-            // work-selection hook (the default intersects the thread's
-            // static allocation, when one exists). The hook works on the
-            // extracted words directly — no policy forces a return to
-            // pointer-chasing. Everything else is never visited.
-            let ready_word = self.ready[node].extract_range(base, n_ops);
-            if ready_word == 0 {
-                continue;
-            }
-            let allowed_word = self.threads[node][thread]
-                .allowed
-                .as_ref()
-                .map(|set| set.extract_range(base, n_ops));
-            let cand = if self.custom_mask {
-                self.strategy.work_mask(ready_word, allowed_word)
-            } else {
-                // The default hook devirtualized: one AND, no dispatch on
-                // the per-lane fast path (`custom_mask` is cached at
-                // construction; `custom_work_mask` tests pin the equality).
-                ready_word & allowed_word.unwrap_or(u64::MAX)
-            };
-            if cand == 0 {
-                continue;
-            }
-            // The loops this replaces visited `base + (thread + shift) %
-            // n_ops` for ascending `shift`; splitting the word at the start
-            // offset and walking each half ascending reproduces that order
-            // exactly.
+            // Each pass visits the lane's operators in the rotated order
+            // `base + (thread + shift) % n_ops`, ascending `shift`, word by
+            // word: the rotation word from the rotation point up, the
+            // following words, the preceding words (wrapping), then the
+            // rotation word below the point.
             let rot = thread % n_ops;
-            let lo_mask = (1u64 << rot) - 1;
-            let parts = [cand & !lo_mask, cand & lo_mask];
-            // Pass 1: primary queues (the thread's own queue of every
-            // operator of the lane).
-            for mut m in parts {
-                while m != 0 {
-                    let op = base + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if !self.op_consumable(op, node) {
-                        continue;
-                    }
-                    self.deliver_parked(op, node);
-                    let opn = self.op_nodes[op][node].as_mut().expect("home state");
-                    if let Some(act) = opn.dequeue(thread) {
-                        opn.processing += 1;
-                        if opn.queued == 0 {
-                            self.ready[node].remove(op);
-                        }
-                        return Some((op, act, true));
-                    }
-                }
-            }
-            // Pass 2: any other queue of the node, preferring the first
-            // loaded queue after the thread's own (wrap-around order).
-            for mut m in parts {
-                while m != 0 {
-                    let op = base + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if !self.op_consumable(op, node) {
-                        continue;
-                    }
-                    let opn = self.op_nodes[op][node].as_mut().expect("home state");
-                    if self.threads_per_node <= 64 {
-                        let qm = opn.nonempty_mask() & !(1u64 << thread);
-                        if qm == 0 {
-                            continue;
-                        }
-                        let after = if thread + 1 >= 64 {
-                            0
-                        } else {
-                            qm & !((1u64 << (thread + 1)) - 1)
-                        };
-                        let q = if after != 0 {
-                            after.trailing_zeros() as usize
-                        } else {
-                            qm.trailing_zeros() as usize
-                        };
-                        let act = opn.dequeue(q).expect("nonempty queue");
-                        opn.processing += 1;
-                        if opn.queued == 0 {
-                            self.ready[node].remove(op);
-                        }
-                        return Some((op, act, false));
-                    }
-                    for offset in 1..self.threads_per_node {
-                        let q = (thread + offset) % self.threads_per_node;
-                        if let Some(act) = opn.dequeue(q) {
-                            opn.processing += 1;
-                            if opn.queued == 0 {
-                                self.ready[node].remove(op);
+            let (words, first) = (n_ops.div_ceil(64), rot / 64);
+            let at = base + 64 * first;
+            let head = if first == 0 {
+                word0
+            } else {
+                self.work_word(node, thread, base, n_ops, first)
+            };
+            let below = (1u64 << (rot % 64)) - 1;
+            // Pass 1 takes from the thread's own queues (primary); pass 2
+            // from any other queue of the node.
+            for primary in [true, false] {
+                for (half, mut m) in [head & !below, head & below].into_iter().enumerate() {
+                    // Between the rotation word's two halves come the
+                    // lane's other words, if it has any.
+                    if half == 1 {
+                        for k in 1..words {
+                            let w = (first + k) % words;
+                            if let Some(found) =
+                                self.take_from_word(node, thread, base, n_ops, w, primary)
+                            {
+                                return Some(found);
                             }
-                            return Some((op, act, false));
+                        }
+                    }
+                    while m != 0 {
+                        let op = at + m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        if let Some(act) = self.take(op, node, thread, primary) {
+                            return Some((op, act, primary));
                         }
                     }
                 }
@@ -1726,65 +1530,79 @@ impl<'a> QueueEngine<'a> {
         None
     }
 
-    /// Work selection over one lane whose operator range spans more than one
-    /// mask word: the original rotated linear scan (cold path, plans of more
-    /// than 64 operators).
-    fn select_work_lane_scan(
+    /// Takes from word `w` of a lane other than its rotation word, in
+    /// ascending operator order. Only plans of more than 64 operators have
+    /// such words; keeping them out of line keeps the common one-word walk
+    /// compact.
+    #[inline(never)]
+    fn take_from_word(
         &mut self,
         node: usize,
         thread: usize,
         base: usize,
         n_ops: usize,
+        w: usize,
+        primary: bool,
     ) -> Option<(usize, Activation, bool)> {
-        // Pass 1: primary queues.
-        for shift in 0..n_ops {
-            let op = base + (thread + shift) % n_ops;
-            // Nothing queued or parked: skip without touching the operator
-            // or queue state at all.
-            if !self.ready[node].contains(op) {
-                debug_assert!(
-                    self.op_nodes[op][node]
-                        .as_ref()
-                        .is_none_or(|o| o.queued == 0),
-                    "ready bitset lost a non-empty operator"
-                );
-                continue;
-            }
-            if !self.op_consumable(op, node) || !self.thread_may_process(node, thread, op) {
-                continue;
-            }
-            self.deliver_parked(op, node);
-            let opn = self.op_nodes[op][node].as_mut().expect("home state");
-            if let Some(act) = opn.dequeue(thread) {
-                opn.processing += 1;
-                if opn.queued == 0 {
-                    self.ready[node].remove(op);
-                }
-                return Some((op, act, true));
-            }
-        }
-        // Pass 2: any other queue of the node.
-        for shift in 0..n_ops {
-            let op = base + (thread + shift) % n_ops;
-            if !self.ready[node].contains(op) {
-                continue;
-            }
-            if !self.op_consumable(op, node) || !self.thread_may_process(node, thread, op) {
-                continue;
-            }
-            let opn = self.op_nodes[op][node].as_mut().expect("home state");
-            for offset in 1..self.threads_per_node {
-                let q = (thread + offset) % self.threads_per_node;
-                if let Some(act) = opn.dequeue(q) {
-                    opn.processing += 1;
-                    if opn.queued == 0 {
-                        self.ready[node].remove(op);
-                    }
-                    return Some((op, act, false));
-                }
+        let mut m = self.work_word(node, thread, base, n_ops, w);
+        while m != 0 {
+            let op = base + 64 * w + m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let Some(act) = self.take(op, node, thread, primary) {
+                return Some((op, act, primary));
             }
         }
         None
+    }
+
+    /// Word `w` of a lane's candidate set for `thread` on `node`: the lane's
+    /// operators with work queued or parked there, intersected with the
+    /// thread's static allocation when it has one.
+    ///
+    /// This and [`Self::take`] run once per lane and candidate of every
+    /// selection. Both are also called from [`Self::take_from_word`]; left
+    /// to itself the compiler then keeps them out of line, which costs a call
+    /// per lane (about 10% on a 24-query co-simulated mix).
+    #[inline(always)]
+    fn work_word(&self, node: usize, thread: usize, base: usize, n_ops: usize, w: usize) -> u64 {
+        let (start, len) = (base + 64 * w, (n_ops - 64 * w).min(64));
+        let ready = self.ready[node].extract_range(start, len);
+        // Most words are empty: test that before touching the thread state.
+        if ready == 0 {
+            return 0;
+        }
+        match &self.threads[node][thread].allowed {
+            Some(set) => ready & set.extract_range(start, len),
+            None => ready,
+        }
+    }
+
+    /// Dequeues an activation of candidate `op` on `node` for `thread`: from
+    /// the thread's own queue (`primary`), or else from the first loaded
+    /// queue after it (wrap-around order).
+    #[inline(always)]
+    fn take(&mut self, op: usize, node: usize, thread: usize, primary: bool) -> Option<Activation> {
+        if !self.op_consumable(op, node) {
+            return None;
+        }
+        if primary {
+            self.deliver_parked(op, node);
+        }
+        let opn = self.op_nodes[op][node].as_mut().expect("home state");
+        let slot = if primary {
+            thread
+        } else {
+            let loaded = opn.nonempty();
+            loaded
+                .first_in(thread + 1, self.threads_per_node)
+                .or_else(|| loaded.first_in(0, thread))?
+        };
+        let act = opn.dequeue(slot)?;
+        opn.processing += 1;
+        if opn.queued == 0 {
+            self.ready[node].remove(op);
+        }
+        Some(act)
     }
 
     fn on_thread_ready(&mut self, node: usize, thread: usize) {
@@ -1803,41 +1621,28 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
-    /// Records thread idleness in both the boolean flag and the per-node
-    /// idle bitmask (the mask is the scan structure, the flag the source of
-    /// truth for wide machines).
     fn set_idle(&mut self, node: usize, thread: usize, idle: bool) {
-        self.threads[node][thread].idle = idle;
-        if thread < 64 {
-            let bit = 1u64 << thread;
-            if idle {
-                self.idle_threads[node] |= bit;
-            } else {
-                self.idle_threads[node] &= !bit;
-            }
+        if idle {
+            self.idle_threads[node].insert(thread);
+        } else {
+            self.idle_threads[node].remove(thread);
         }
     }
 
+    /// Wakes the idle threads of `node` (those allowed to run `op_filter`,
+    /// when given) in ascending thread order, walking the idle set one word
+    /// at a time.
     fn wake_threads(&mut self, node: usize, op_filter: Option<usize>) {
-        if !self.live[node] {
+        if !self.live[node] || self.idle_threads[node].is_empty() {
             return;
         }
-        if self.threads_per_node <= 64 {
-            // Fast path: walk the idle bitmask (ascending thread order, the
-            // same order as the boolean scan).
-            let mut mask = self.idle_threads[node];
-            debug_assert!(
-                (0..self.threads_per_node)
-                    .all(|t| self.threads[node][t].idle == ((mask >> t) & 1 == 1)),
-                "idle bitmask drifted from thread flags"
-            );
-            if mask == 0 {
-                return;
-            }
-            let now = self.calendar.now();
-            while mask != 0 {
-                let thread = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+        let now = self.calendar.now();
+        for start in (0..self.threads_per_node).step_by(64) {
+            let len = (self.threads_per_node - start).min(64);
+            let mut idle = self.idle_threads[node].extract_range(start, len);
+            while idle != 0 {
+                let thread = start + idle.trailing_zeros() as usize;
+                idle &= idle - 1;
                 if let Some(op) = op_filter {
                     if !self.thread_may_process(node, thread, op) {
                         continue;
@@ -1847,21 +1652,6 @@ impl<'a> QueueEngine<'a> {
                 self.calendar
                     .schedule_at(now, Event::ThreadReady { node, thread });
             }
-            return;
-        }
-        let now = self.calendar.now();
-        for thread in 0..self.threads_per_node {
-            if !self.threads[node][thread].idle {
-                continue;
-            }
-            if let Some(op) = op_filter {
-                if !self.thread_may_process(node, thread, op) {
-                    continue;
-                }
-            }
-            self.set_idle(node, thread, false);
-            self.calendar
-                .schedule_at(now, Event::ThreadReady { node, thread });
         }
     }
 
@@ -1913,11 +1703,7 @@ impl<'a> QueueEngine<'a> {
     /// Re-snapshots one lane's hot scheduling fields after a
     /// `started`/`n_ops` mutation (see [`LaneHot`]).
     fn sync_lane_hot(&mut self, lane: usize) {
-        self.lane_hot[lane] = LaneHot {
-            base: self.lanes[lane].base as u32,
-            n_ops: self.lanes[lane].n_ops as u32,
-            started: self.lanes[lane].started,
-        };
+        self.lane_hot[lane] = LaneHot::of(&self.lanes[lane]);
     }
 
     /// Post-admission bookkeeping of a lane admitted mid-run: trivially-done
@@ -1954,9 +1740,8 @@ impl<'a> QueueEngine<'a> {
     }
 
     /// A query completed: free its working set on its placement nodes, then
-    /// admit every waiting lane that now fits (each admission is its own
-    /// `QueryAdmit` event at the current instant; memory is reserved at
-    /// scheduling time so the chain of fits stays consistent).
+    /// admit every waiting lane that now fits (an open run retires the lane
+    /// and admits from its waiting room instead).
     fn on_query_release(&mut self, lane: usize) {
         // A restarted operator can re-terminate a lane that already released
         // (lose-and-restart rebuilds after the lane's first completion).
@@ -1977,6 +1762,13 @@ impl<'a> QueueEngine<'a> {
             self.try_admit_open();
             return;
         }
+        self.schedule_admissions();
+    }
+
+    /// Reserves memory for every waiting lane that now fits, head of line
+    /// first, and schedules each one's `QueryAdmit` at the current instant
+    /// (reserving at scheduling time keeps the chain of fits consistent).
+    fn schedule_admissions(&mut self) {
         let now = self.calendar.now();
         while let Some(admitted) = self.try_reserve_head() {
             self.calendar
@@ -2096,123 +1888,29 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
-    /// Populates a free lane slot with one admitted query: lane descriptors,
-    /// fresh operator runtimes over the slot's op range, memory reservation,
-    /// FP thread allocation, scheduling order, triggers.
+    /// Populates a free lane slot with one admitted query: memory
+    /// reservation, lane descriptors, operator state and FP allocation (via
+    /// [`Self::install_lane`]), scheduling order, triggers.
     fn admit_open_lane(&mut self, slot: usize, head: OpenPending) {
         let now = self.calendar.now();
-        let (plan, memory_bytes) = {
-            let open = self.open.as_ref().expect("open mode");
-            let t = &open.templates[head.template];
-            (t.plan, t.memory_bytes)
-        };
-        let mem_per_node = memory_bytes.div_ceil(self.nodes as u64);
+        let template = self.open.as_ref().expect("open mode").templates[head.template];
+        let mem_per_node = template.memory_bytes.div_ceil(self.nodes as u64);
         for n in 0..self.nodes {
             self.free_mem[n] -= mem_per_node;
         }
-        let n_ops = plan.tree.operators().len();
-        let base = self.lanes[slot].base;
-        let skew = self.lanes[slot].skew;
-        {
-            let lane = &mut self.lanes[slot];
-            lane.plan = plan;
-            lane.arrival = head.arrived_at;
-            lane.priority = head.priority;
-            lane.memory_bytes = memory_bytes;
-            lane.mem_per_node = mem_per_node;
-            lane.reserved = (0..self.nodes).map(|n| (n, mem_per_node)).collect();
-            lane.released = false;
-            lane.n_ops = n_ops;
-            lane.started = true;
-            lane.admitted_at = now;
-            lane.ops_terminated = 0;
-            lane.finished_at = SimTime::ZERO;
-            lane.activations = 0;
-            lane.tuples_processed = 0;
-            lane.result_tuples = 0;
-        }
+        let (base, skew) = (self.lanes[slot].base, self.lanes[slot].skew);
+        self.lanes[slot] = LaneRuntime {
+            arrival: head.arrived_at,
+            priority: head.priority,
+            memory_bytes: template.memory_bytes,
+            mem_per_node,
+            reserved: (0..self.nodes).map(|n| (n, mem_per_node)).collect(),
+            started: true,
+            admitted_at: now,
+            ..LaneRuntime::new(template.plan, base, skew)
+        };
         self.sync_lane_hot(slot);
-        // Rebuild the slot's operator runtimes (mirrors `initialize`, but in
-        // place over the slot's fixed op range).
-        let joins = plan.tree.joins();
-        for op in plan.tree.operators() {
-            let idx = base + op.id.index();
-            let home: Vec<NodeId> = plan
-                .homes
-                .home(op.id)
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|n| n.index() < self.nodes)
-                .collect();
-            let mut blockers: Vec<OperatorId> = plan.blocked_by(op.id);
-            blockers.sort_unstable();
-            blockers.dedup();
-            let output_ratio = if op.input_tuples == 0 {
-                0.0
-            } else {
-                op.output_tuples as f64 / op.input_tuples as f64
-            };
-            let build_twin = match op.kind {
-                OperatorKind::Probe { join } => joins.get(&join).map(|(b, _)| base + b.index()),
-                _ => None,
-            };
-            let slots = home.len() * self.threads_per_node;
-            let mut per_node: Vec<Option<OpNodeRuntime>> = (0..self.nodes).map(|_| None).collect();
-            for node in &home {
-                per_node[node.index()] = Some(OpNodeRuntime::new(
-                    self.threads_per_node,
-                    self.options.flow.queue_capacity,
-                ));
-            }
-            self.ops[idx] = OpRuntime {
-                lane: slot,
-                kind: op.kind,
-                consumer: op.consumer.map(|c| base + c.index()),
-                home,
-                output_ratio,
-                blockers_remaining: blockers.len(),
-                terminated: false,
-                router: OutputRouter::new(slots, skew, idx),
-                input_sent: 0,
-                input_delivered: 0,
-                input_processed: 0,
-                phase1_reports: 0,
-                phase2_started: false,
-                phase2_confirms: 0,
-                build_twin,
-            };
-            self.op_nodes[idx] = per_node;
-            // The slot's ops were counted terminated (placeholder or
-            // retired); they are live again.
-            self.ops_terminated -= 1;
-            self.live_ops.insert(idx);
-        }
-        // FP: one fresh allocation per admission (the optimizer
-        // mis-estimates each arriving query once), inserted into every
-        // node's thread sets; retirement removes it again.
-        if self.strategy.constrains_threads() {
-            let mut fp_rng = std::mem::replace(
-                &mut self.open.as_mut().expect("open mode").fp_rng,
-                rng_from_seed(0),
-            );
-            let assignment = self
-                .strategy
-                .allocate(plan, self.threads_per_node as u32, &self.cost, &mut fp_rng)
-                .unwrap_or_default();
-            self.open.as_mut().expect("open mode").fp_rng = fp_rng;
-            for node in 0..self.nodes {
-                for (t, ops) in assignment.iter().enumerate() {
-                    let set = self.threads[node][t]
-                        .allowed
-                        .as_mut()
-                        .expect("FP threads carry allowed sets");
-                    for o in ops {
-                        set.insert(base + o.index());
-                    }
-                }
-            }
-        }
+        self.install_lane(slot);
         // Re-derive the scheduling order: priority descending, admission
         // sequence ascending on ties (free slots sort by their last
         // occupant's keys — harmless, they are skipped as not started).
@@ -2252,7 +1950,7 @@ impl<'a> QueueEngine<'a> {
             // Invalidate steal episodes still referencing the retired op.
             self.epochs[idx] += 1;
             self.ops[idx] = Self::placeholder_op(lane_idx);
-            self.op_nodes[idx] = (0..self.nodes).map(|_| None).collect();
+            self.op_nodes[idx].fill_with(|| None);
             for node in 0..self.nodes {
                 self.ready[node].remove(idx);
             }
@@ -2567,19 +2265,24 @@ impl<'a> QueueEngine<'a> {
     /// policy. Callers guarantee at least one live home node (enforced by
     /// the wholesale lane re-home on failure).
     fn live_home_redirect(&self, op: usize, key: u64) -> usize {
-        let mut seen = BTreeSet::new();
-        let survivors: Vec<NodeId> = self.ops[op]
-            .home
-            .iter()
-            .copied()
-            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
-            .collect();
+        let survivors = self.live_homes(op);
         let total = (self.ops[op].home.len() * self.threads_per_node) as u64;
         self.options
             .recovery
             .rehome
             .survivor(key, total, &survivors)
             .index()
+    }
+
+    /// The distinct live home nodes of `op`, in home order.
+    fn live_homes(&self, op: usize) -> Vec<NodeId> {
+        let mut seen = BTreeSet::new();
+        self.ops[op]
+            .home
+            .iter()
+            .copied()
+            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
+            .collect()
     }
 
     fn on_control(&mut self, node: usize, msg: ControlMsg) {
@@ -2967,6 +2670,28 @@ impl<'a> QueueEngine<'a> {
         Some((op, steal_tuples, bytes, ratio))
     }
 
+    /// The live operator of `node` with the best tuples-per-byte steal ratio
+    /// for `requester` (the first on ties). The bitset walk visits the
+    /// non-terminated slots in ascending index order — the same candidates,
+    /// in the same order, as a full `0..ops.len()` scan.
+    fn best_steal_candidate(
+        &self,
+        node: usize,
+        requester: usize,
+        free_bytes: u64,
+    ) -> Option<(usize, u64, u64, f64)> {
+        let mut best: Option<(usize, u64, u64, f64)> = None;
+        for op in self.live_ops.iter() {
+            let Some(candidate) = self.steal_candidate(op, node, requester, free_bytes) else {
+                continue;
+            };
+            if best.is_none_or(|(_, _, _, r)| candidate.3 > r) {
+                best = Some(candidate);
+            }
+        }
+        best
+    }
+
     /// A provider node looks for a candidate queue to off-load (conditions
     /// (i)–(vi) of §3.2) and answers the requester. In co-simulated mode the
     /// candidate set — and the advertised load — spans the operators of
@@ -2980,30 +2705,15 @@ impl<'a> QueueEngine<'a> {
         epoch: u64,
         token: u64,
     ) {
-        let mut best: Option<(usize, u64, u64, f64)> = None; // (op, tuples, bytes, ratio)
-        match target {
+        let best = match target {
             // Open mode: the targeted slot was recycled while the request was
             // in flight — the new occupant's work must not be offered under
             // the stale id. An empty candidate set still yields a NoOffer
             // reply, so the requester's reply counting stays intact.
-            Some(op) if self.epochs[op] != epoch => {}
-            Some(op) => best = self.steal_candidate(op, node, requester, free_bytes),
-            // DP considers every live operator: the bitset walk visits the
-            // non-terminated slots in ascending index order — the same
-            // candidates, in the same order, as the full `0..ops.len()`
-            // scan it replaces.
-            None => {
-                for op in self.live_ops.iter() {
-                    let Some(candidate) = self.steal_candidate(op, node, requester, free_bytes)
-                    else {
-                        continue;
-                    };
-                    if best.map(|(_, _, _, r)| candidate.3 > r).unwrap_or(true) {
-                        best = Some(candidate);
-                    }
-                }
-            }
-        }
+            Some(op) if self.epochs[op] != epoch => None,
+            Some(op) => self.steal_candidate(op, node, requester, free_bytes),
+            None => self.best_steal_candidate(node, requester, free_bytes),
+        };
 
         let load = self.node_load(node);
 
@@ -3327,16 +3037,7 @@ impl<'a> QueueEngine<'a> {
         if !accept || !self.live[node] || !self.live[receiver] {
             return;
         }
-        let mut best: Option<(usize, u64, u64, f64)> = None;
-        for op in self.live_ops.iter() {
-            let Some(candidate) = self.steal_candidate(op, node, receiver, free_bytes) else {
-                continue;
-            };
-            if best.map(|(_, _, _, r)| candidate.3 > r).unwrap_or(true) {
-                best = Some(candidate);
-            }
-        }
-        if let Some((op, _, _, _)) = best {
+        if let Some((op, _, _, _)) = self.best_steal_candidate(node, receiver, free_bytes) {
             self.on_acquire(node, receiver, op, false, self.epochs[op]);
         }
     }
@@ -3373,16 +3074,7 @@ impl<'a> QueueEngine<'a> {
         for thread in 0..self.threads_per_node {
             self.set_idle(dead, thread, true);
         }
-        // Abandon the node's steal bookkeeping; the token bump voids replies
-        // still in flight towards it.
-        let lb = &mut self.node_lb[dead];
-        lb.current_token += 1;
-        lb.starving_outstanding = false;
-        lb.fp_outstanding.clear();
-        lb.offers.clear();
-        lb.replies_received = 0;
-        lb.replies_expected = 0;
-        lb.push_outstanding = false;
+        self.abandon_steal_episodes(dead);
         // The node's memory dies with it: admitted reservations on it are
         // gone, and nothing can be reserved there until it re-joins.
         for lane in &mut self.lanes {
@@ -3411,6 +3103,17 @@ impl<'a> QueueEngine<'a> {
         Ok(())
     }
 
+    /// Clears a node's steal and push bookkeeping when it leaves or re-joins;
+    /// the token bump voids replies still in flight towards it.
+    fn abandon_steal_episodes(&mut self, node: usize) {
+        let lb = &mut self.node_lb[node];
+        *lb = NodeLb {
+            current_token: lb.current_token + 1,
+            push_cursor: lb.push_cursor,
+            ..NodeLb::default()
+        };
+    }
+
     /// A previously departed node re-joins: full memory, fresh threads, and
     /// it resumes receiving routed output for every operator still homing on
     /// it. Re-homed (replaced) homes are not restored.
@@ -3418,21 +3121,11 @@ impl<'a> QueueEngine<'a> {
         self.live[node] = true;
         self.faults.joins += 1;
         self.free_mem[node] = self.config.machine.memory_per_node_bytes;
-        let lb = &mut self.node_lb[node];
-        lb.current_token += 1;
-        lb.starving_outstanding = false;
-        lb.fp_outstanding.clear();
-        lb.offers.clear();
-        lb.replies_received = 0;
-        lb.replies_expected = 0;
-        lb.push_outstanding = false;
+        self.abandon_steal_episodes(node);
         // Demands shrink with the grown placement; waiting lanes may fit now.
         self.refresh_admission()?;
+        self.schedule_admissions();
         let now = self.calendar.now();
-        while let Some(admitted) = self.try_reserve_head() {
-            self.calendar
-                .schedule_at(now, Event::QueryAdmit { lane: admitted });
-        }
         for thread in 0..self.threads_per_node {
             self.set_idle(node, thread, false);
             self.calendar
@@ -3563,13 +3256,7 @@ impl<'a> QueueEngine<'a> {
         hash: u64,
         graceful: bool,
     ) {
-        let mut seen = BTreeSet::new();
-        let survivors: Vec<NodeId> = self.ops[op]
-            .home
-            .iter()
-            .copied()
-            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
-            .collect();
+        let survivors = self.live_homes(op);
         if survivors.is_empty() {
             // Only reachable for a *terminated* operator (live homes are
             // guaranteed otherwise): its residual hash table dies with the
@@ -3780,11 +3467,18 @@ pub fn execute(
     strategy: Strategy,
     options: &ExecOptions,
 ) -> Result<ExecutionReport> {
-    if strategy.queue_based() {
-        QueueEngine::new(plan, *config, strategy, *options)?.run()
-    } else {
-        crate::sp::execute_sp(plan, config, options)
+    if !strategy.queue_based() {
+        return crate::sp::execute_sp(plan, config, options);
     }
+    let query = CoSimQuery {
+        plan,
+        arrival_secs: 0.0,
+        priority: 1,
+        skew: options.skew,
+        mask: None,
+        memory_bytes: 0,
+    };
+    Ok(execute_cosimulated(&[query], config, strategy, options)?.aggregate)
 }
 
 /// Co-simulates `queries` concurrent queries inside **one** engine event
@@ -3833,13 +3527,14 @@ pub fn execute_cosimulated_faulted(
     options: &ExecOptions,
     topology: &[TopologyEvent],
 ) -> Result<CoSimReport> {
-    if !strategy.queue_based() {
-        return Err(DlbError::config(
-            "co-simulation requires a queue-based strategy (DP or FP); \
-             SP has no activation queues to interleave",
-        ));
-    }
-    QueueEngine::new_cosim(queries, *config, strategy, *options, topology)?.run_cosim()
+    QueueEngine::new(
+        Workload::Fixed(queries),
+        *config,
+        strategy,
+        *options,
+        topology,
+    )?
+    .run()
 }
 
 /// Runs the co-simulated engine as an **open system**: queries arrive over a
@@ -3874,13 +3569,9 @@ pub fn execute_open(
     strategy: Strategy,
     options: &ExecOptions,
 ) -> Result<OpenReport> {
-    if !strategy.queue_based() {
-        return Err(DlbError::config(
-            "open-system mode requires a queue-based strategy (DP or FP); \
-             SP has no activation queues to interleave",
-        ));
-    }
-    QueueEngine::new_open(traffic, *config, strategy, *options)?.run_open()
+    let mut engine = QueueEngine::new(Workload::Open(traffic), *config, strategy, *options, &[])?;
+    let aggregate = engine.run()?.aggregate;
+    Ok(engine.open.take().expect("open run").into_report(aggregate))
 }
 
 #[cfg(test)]
@@ -4346,30 +4037,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fp_shared_realization_is_the_default_and_per_node_differs_on_hierarchies() {
-        // With error injection on a multi-node machine the two realizations
-        // draw different allocations; on exact estimates they coincide.
-        let plan = bushy_plan(2);
-        let config = SystemConfig::hierarchical(2, 4);
-        let strategy = Strategy::fixed(0.3);
-        let shared = ExecOptions::default();
-        assert_eq!(shared.fp_realization, ErrorRealization::Shared);
-        let per_node = ExecOptions {
-            fp_realization: ErrorRealization::PerNode,
-            ..ExecOptions::default()
-        };
-        let a = execute(&plan, &config, strategy, &shared).unwrap();
-        let b = execute(&plan, &config, strategy, &per_node).unwrap();
-        // Both complete the same logical work...
-        assert_eq!(a.result_tuples, b.result_tuples);
-        // ...and with exact estimates the knob is a no-op.
-        let exact = Strategy::fixed(0.0);
-        let ea = execute(&plan, &config, exact, &shared).unwrap();
-        let eb = execute(&plan, &config, exact, &per_node).unwrap();
-        assert_eq!(ea, eb);
-    }
-
     // ------------------------------------------------------------------ //
     // Fault injection (topology events)
     // ------------------------------------------------------------------ //
@@ -4762,11 +4429,17 @@ mod tests {
             concurrency,
             frontend: FrontendConfig::default(),
         };
-        let mut engine =
-            QueueEngine::new_open(&traffic, config, Strategy::dynamic(), opts).unwrap();
+        let mut engine = QueueEngine::new(
+            Workload::Open(&traffic),
+            config,
+            Strategy::dynamic(),
+            opts,
+            &[],
+        )
+        .unwrap();
         // Op state is O(concurrency × max_ops) by construction, not O(total).
         assert_eq!(engine.ops.len(), concurrency * 4);
-        engine.run_loop().unwrap();
+        engine.run().unwrap();
         let open = engine.open.as_ref().unwrap();
         assert_eq!(open.completed, 10_000);
         assert_eq!(open.response.count(), 10_000);
@@ -5023,5 +4696,123 @@ mod tests {
         let mut bad = good.clone();
         bad.templates[0].solo_secs = f64::NAN;
         assert!(execute_open(&bad, &config, Strategy::dynamic(), &opts).is_err());
+        // Every instance runs with the options' skew, which must lie in
+        // [0, 1] exactly as for closed runs.
+        for skew in [1.5, f64::NAN] {
+            let opts = ExecOptions::with_skew(skew);
+            let err = execute_open(&good, &config, Strategy::dynamic(), &opts).unwrap_err();
+            assert!(
+                matches!(err, DlbError::InvalidConfig(_)),
+                "skew {skew}: {err}"
+            );
+            assert!(execute(&plan, &config, Strategy::dynamic(), &opts).is_err());
+        }
+    }
+
+    // ------------------------------------------------------------------ //
+    // Wide shapes (more than 64 operators per plan or threads per node)
+    // ------------------------------------------------------------------ //
+
+    /// A left-deep chain over `relations` relations (3·relations − 2
+    /// operators); selectivities keep every intermediate near its input.
+    fn chain_plan(relations: u64, nodes: u32) -> ParallelPlan {
+        let mut tree = JoinTree::leaf(RelationId::new(0), 2_000);
+        for r in 1..relations {
+            let size = 1_000 + 100 * r;
+            let leaf = JoinTree::leaf(RelationId::new(r as u32), size);
+            tree = JoinTree::join(tree, leaf, 1.0 / size as f64);
+        }
+        let ot = OperatorTree::from_join_tree(&tree);
+        let homes = OperatorHomes::all_nodes(&ot, nodes);
+        ParallelPlan::build(QueryId::new(24), ot, homes, ChainScheduling::OneAtATime).unwrap()
+    }
+
+    /// Pins the full reports of a 70-operator plan on 2×8 and of a 72-thread
+    /// node, captured before work selection and wake-up went multi-word:
+    /// the word-at-a-time walks must reproduce the historical scans exactly.
+    #[test]
+    fn wide_plans_and_wide_nodes_match_their_pinned_reports() {
+        let wide = chain_plan(24, 2);
+        assert_eq!(wide.tree.operators().len(), 70);
+        let bushy = bushy_plan(1);
+        let opts = ExecOptions::with_skew(0.5);
+        let pinned = [
+            (
+                &wide,
+                SystemConfig::hierarchical(2, 8),
+                Strategy::dynamic(),
+                "ExecutionReport { strategy: DP, nodes: 2, processors_per_node: 8, \
+                 response_time: Duration(1040561674), activations: 1074, \
+                 tuples_processed: 149172, result_tuples: 2010, \
+                 total_busy: Duration(3953894186), total_idle: Duration(12695092598), \
+                 utilization: 0.2374855741851972, \
+                 per_node_busy: [Duration(1980038343), Duration(1973855843)], \
+                 messages: 888, network_bytes: 4834556, lb_requests: 82, \
+                 lb_acquisitions: 0, lb_bytes: 326424, events: 6051 }",
+            ),
+            (
+                &wide,
+                SystemConfig::hierarchical(2, 8),
+                Strategy::fixed(0.2),
+                "ExecutionReport { strategy: FP@0.2, nodes: 2, processors_per_node: 8, \
+                 response_time: Duration(1133094591), activations: 1074, \
+                 tuples_processed: 149172, result_tuples: 2010, \
+                 total_busy: Duration(3955827936), total_idle: Duration(14173685520), \
+                 utilization: 0.21819824043269126, \
+                 per_node_busy: [Duration(1976940843), Duration(1978887093)], \
+                 messages: 910, network_bytes: 7006452, lb_requests: 73, \
+                 lb_acquisitions: 8, lb_bytes: 2468720, events: 3583 }",
+            ),
+            (
+                &bushy,
+                SystemConfig::hierarchical(1, 72),
+                Strategy::dynamic(),
+                "ExecutionReport { strategy: DP, nodes: 1, processors_per_node: 72, \
+                 response_time: Duration(133386512), activations: 541, \
+                 tuples_processed: 71037, result_tuples: 3982, \
+                 total_busy: Duration(1844583818), total_idle: Duration(7759245046), \
+                 utilization: 0.19206754348928806, per_node_busy: [Duration(1844583818)], \
+                 messages: 0, network_bytes: 0, lb_requests: 0, lb_acquisitions: 0, \
+                 lb_bytes: 0, events: 2272 }",
+            ),
+            (
+                &bushy,
+                SystemConfig::hierarchical(1, 72),
+                Strategy::fixed(0.2),
+                "ExecutionReport { strategy: FP@0.2, nodes: 1, processors_per_node: 72, \
+                 response_time: Duration(144897844), activations: 541, \
+                 tuples_processed: 71037, result_tuples: 3982, \
+                 total_busy: Duration(1845358640), total_idle: Duration(8587286128), \
+                 utilization: 0.17688310884122688, per_node_busy: [Duration(1845358640)], \
+                 messages: 0, network_bytes: 0, lb_requests: 0, lb_acquisitions: 0, \
+                 lb_bytes: 0, events: 1490 }",
+            ),
+        ];
+        for (plan, config, strategy, want) in pinned {
+            let report = execute(plan, &config, strategy, &opts).unwrap();
+            assert_eq!(format!("{report:?}"), want, "{strategy:?} on {config:?}");
+        }
+        // Two wide lanes: the second starts at global operator 70, so its
+        // range straddles mask words at an unaligned offset.
+        let co = execute_cosimulated(
+            &[solo(&wide, 0.0, 1, 0.5), solo(&wide, 0.2, 2, 0.8)],
+            &SystemConfig::hierarchical(2, 8),
+            Strategy::dynamic(),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(
+            format!("{:?}", co.aggregate),
+            "ExecutionReport { strategy: DP, nodes: 2, processors_per_node: 8, \
+             response_time: Duration(1842453762), activations: 2148, \
+             tuples_processed: 298344, result_tuples: 4020, \
+             total_busy: Duration(7936407122), total_idle: Duration(21542853070), \
+             utilization: 0.26922002351177593, \
+             per_node_busy: [Duration(3972585436), Duration(3963821686)], \
+             messages: 1817, network_bytes: 10011708, lb_requests: 156, \
+             lb_acquisitions: 0, lb_bytes: 417252, events: 11944 }"
+        );
+        let responses: Vec<f64> = co.queries.iter().map(|q| q.response_secs).collect();
+        assert_eq!(responses, [1.706380011, 1.642453762]);
     }
 }

@@ -74,8 +74,8 @@ pub use engine::{
 };
 pub use mix::{schedule_mix, MixJob, MixMode, MixPolicy, MixSchedule, QueryOutcome};
 pub use options::{
-    ContentionModel, ErrorRealization, ExecOptions, ExecOptionsBuilder, FlowControl,
-    RecoveryOptions, RecoveryPolicy, StealPolicy,
+    ContentionModel, ExecOptions, ExecOptionsBuilder, FlowControl, RecoveryOptions, RecoveryPolicy,
+    StealPolicy,
 };
 pub use report::{CoSimReport, ExecutionReport, FaultStats, OpenReport, QueryExecReport};
 pub use router::OutputRouter;

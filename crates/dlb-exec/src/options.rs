@@ -66,50 +66,6 @@ impl ContentionModel {
     }
 }
 
-/// How Fixed Processing realizes cost-model estimation errors across the
-/// SM-nodes of a machine (Figure 7, §5.2.1).
-///
-/// The paper distorts *the* cost estimate of each operator: one wrong number
-/// that every node's static allocation is then derived from. The engine
-/// originally drew a fresh realization per node from one shared RNG, which
-/// lets per-node errors partially cancel on hierarchical machines and
-/// understates the damage of a systematically wrong estimate. The paper
-/// reading ([`ErrorRealization::Shared`]) is the default; the historical
-/// behaviour stays available as [`ErrorRealization::PerNode`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ErrorRealization {
-    /// One distorted complexity estimate per operator, reused by every node
-    /// (the paper's reading — an optimizer mis-estimates a cardinality once,
-    /// not once per node). The default.
-    #[default]
-    Shared,
-    /// A fresh error realization per node from one shared RNG stream (the
-    /// pre-fix engine behaviour, kept for comparison studies).
-    PerNode,
-}
-
-impl ErrorRealization {
-    /// Stable lower-case label, also the JSON spelling (`shared`,
-    /// `per-node`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ErrorRealization::Shared => "shared",
-            ErrorRealization::PerNode => "per-node",
-        }
-    }
-
-    /// Parses a [`ErrorRealization::label`] spelling.
-    pub fn from_label(label: &str) -> Result<Self, String> {
-        match label {
-            "shared" => Ok(ErrorRealization::Shared),
-            "per-node" => Ok(ErrorRealization::PerNode),
-            other => Err(format!(
-                "unknown error realization {other:?} (expected shared | per-node)"
-            )),
-        }
-    }
-}
-
 /// Tuning of the global load-balancing acquisition (§3.2): when a starving
 /// node steals work, how much a provider must hold and how much is taken.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -194,8 +150,6 @@ pub struct ExecOptions {
     pub skew: f64,
     /// Seed for the strategy-internal randomness (FP cost distortion).
     pub seed: u64,
-    /// How FP realizes cost-model errors across nodes (Figure 7).
-    pub fp_realization: ErrorRealization,
     /// Pipeline flow control (queue capacity, trigger granularity).
     pub flow: FlowControl,
     /// Shared-memory interference model.
@@ -250,7 +204,6 @@ impl Default for ExecOptions {
         Self {
             skew: 0.0,
             seed: DEFAULT_EXEC_SEED,
-            fp_realization: ErrorRealization::default(),
             flow: FlowControl::default(),
             contention: ContentionModel::default(),
             steal: StealPolicy::default(),
@@ -276,12 +229,6 @@ impl ExecOptionsBuilder {
     /// Sets the strategy-internal randomness seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.options.seed = seed;
-        self
-    }
-
-    /// Sets how FP realizes cost-model errors across nodes.
-    pub fn fp_realization(mut self, realization: ErrorRealization) -> Self {
-        self.options.fp_realization = realization;
         self
     }
 
@@ -395,23 +342,6 @@ mod tests {
         assert!(at64 > 1.0 && at64 < 1.5);
         let at48 = o.contention_factor(48);
         assert!(at48 > 1.0 && at48 < at64);
-    }
-
-    #[test]
-    fn error_realization_labels_round_trip_and_default_is_shared() {
-        assert_eq!(ErrorRealization::default(), ErrorRealization::Shared);
-        assert_eq!(
-            ExecOptions::default().fp_realization,
-            ErrorRealization::Shared
-        );
-        for r in [ErrorRealization::Shared, ErrorRealization::PerNode] {
-            assert_eq!(ErrorRealization::from_label(r.label()).unwrap(), r);
-        }
-        assert!(ErrorRealization::from_label("per-operator").is_err());
-        let o = ExecOptions::builder()
-            .fp_realization(ErrorRealization::PerNode)
-            .build();
-        assert_eq!(o.fp_realization, ErrorRealization::PerNode);
     }
 
     #[test]

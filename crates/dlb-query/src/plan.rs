@@ -21,7 +21,6 @@
 use crate::optree::{OperatorTree, PipelineChain};
 use dlb_common::{DlbError, NodeId, OperatorId, QueryId, Result};
 use dlb_storage::partition::RelationHome;
-use dlb_storage::Catalog;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -49,52 +48,6 @@ impl OperatorHomes {
             .iter()
             .map(|op| (op.id.0, RelationHome::all_nodes(nodes)))
             .collect();
-        Self { homes }
-    }
-
-    /// Derives homes from a catalog: a scan is homed where its relation is
-    /// stored; a join's build and probe share the union of their inputs'
-    /// homes (which guarantees the §2.2 constraints by construction).
-    pub fn from_catalog(tree: &OperatorTree, catalog: &Catalog, fallback_nodes: u32) -> Self {
-        let mut output_home: BTreeMap<u32, RelationHome> = BTreeMap::new();
-        let mut homes: BTreeMap<u32, RelationHome> = BTreeMap::new();
-
-        // Operators are stored in expansion order: children always precede
-        // their consumers, so one forward pass suffices.
-        for op in tree.operators() {
-            match op.kind {
-                crate::optree::OperatorKind::Scan { relation } => {
-                    let home = catalog
-                        .home(relation)
-                        .cloned()
-                        .unwrap_or_else(|_| RelationHome::all_nodes(fallback_nodes));
-                    homes.insert(op.id.0, home.clone());
-                    output_home.insert(op.id.0, home);
-                }
-                crate::optree::OperatorKind::Build { .. } => {
-                    // Resolved when the matching probe is visited.
-                }
-                crate::optree::OperatorKind::Probe { .. } => {
-                    let build = op.hash_source.expect("probe has a hash source");
-                    let build_producer = tree.pipelined_producers(build);
-                    let probe_producer = tree.pipelined_producers(op.id);
-                    let build_in = build_producer
-                        .first()
-                        .and_then(|p| output_home.get(&p.0))
-                        .cloned()
-                        .unwrap_or_else(|| RelationHome::all_nodes(fallback_nodes));
-                    let probe_in = probe_producer
-                        .first()
-                        .and_then(|p| output_home.get(&p.0))
-                        .cloned()
-                        .unwrap_or_else(|| RelationHome::all_nodes(fallback_nodes));
-                    let join_home = build_in.union(&probe_in);
-                    homes.insert(build.0, join_home.clone());
-                    homes.insert(op.id.0, join_home.clone());
-                    output_home.insert(op.id.0, join_home);
-                }
-            }
-        }
         Self { homes }
     }
 
@@ -331,7 +284,6 @@ fn chain_dependency_order(tree: &OperatorTree) -> Result<Vec<dlb_common::Pipelin
 mod tests {
     use super::*;
     use crate::jointree::JoinTree;
-    use crate::optree::OperatorKind;
     use dlb_common::RelationId;
 
     fn r(i: u32) -> RelationId {
@@ -416,38 +368,6 @@ mod tests {
             assert!(!plan.homes.allows(op.id, NodeId::new(3)));
         }
         assert!(!plan.homes.is_empty());
-    }
-
-    #[test]
-    fn homes_from_catalog_respect_scan_placement_and_join_equality() {
-        use dlb_storage::partition::PartitionLayout;
-        use dlb_storage::relation::{RelationDef, SizeClass};
-
-        let tree = OperatorTree::from_join_tree(&figure2_tree());
-        let mut catalog = Catalog::new();
-        // R and S on node 0, T and U on node 1.
-        for (i, node) in [(0u32, 0u32), (1, 0), (2, 1), (3, 1)] {
-            let def = RelationDef::new(r(i), format!("R{i}"), 1_000, SizeClass::Small);
-            let layout =
-                PartitionLayout::compute(&def, RelationHome::new(vec![NodeId::new(node)]), 1, 0.0);
-            catalog.register(def, layout);
-        }
-        let homes = OperatorHomes::from_catalog(&tree, &catalog, 2);
-        // Scan homes follow the relation placement.
-        for op in tree.operators() {
-            if let OperatorKind::Scan { relation } = op.kind {
-                assert_eq!(
-                    homes.home(op.id),
-                    catalog.home(relation).unwrap(),
-                    "scan home must equal relation home"
-                );
-            }
-        }
-        // Build/probe pairs share a home, and the top join spans both nodes.
-        let plan =
-            ParallelPlan::build(QueryId::new(1), tree, homes, ChainScheduling::OneAtATime).unwrap();
-        let root_home = plan.homes.home(plan.tree.root());
-        assert_eq!(root_home.len(), 2);
     }
 
     #[test]

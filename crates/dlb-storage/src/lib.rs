@@ -1,33 +1,22 @@
 //! # dlb-storage
 //!
-//! Relation storage for the hierdb workspace: schemas and tuples, horizontal
-//! hash partitioning of relations across SM-nodes and disks, bucket-level
-//! fragmentation for parallel hash joins, data placement (relation *homes*)
-//! and the catalog tying it all together.
+//! Relation storage for the hierdb workspace: relation definitions,
+//! horizontal hash partitioning of relations across SM-nodes and disks, data
+//! placement (relation *homes*) and the re-homing of displaced work after a
+//! node failure.
 //!
-//! The paper's evaluation does not depend on relation *content*: partition and
-//! bucket sizes (possibly skewed) are what drive execution. This crate
-//! therefore describes relations both **statistically** (cardinalities split
-//! into per-node partitions and per-bucket fragments, with optional Zipf
-//! skew) and — for examples, tests and small-scale real execution —
-//! **physically** (synthetic tuple generation with attribute-value skew).
+//! The paper's evaluation does not depend on relation *content*: partition
+//! sizes (possibly skewed) are what drive execution, so relations are
+//! described **statistically** — cardinalities split into per-node
+//! partitions, with optional Zipf skew.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bucket;
-pub mod catalog;
-pub mod generator;
-pub mod hashjoin;
 pub mod partition;
 pub mod rehome;
 pub mod relation;
-pub mod tuple;
 
-pub use bucket::BucketMap;
-pub use catalog::Catalog;
-pub use hashjoin::{hash_join, HashTable};
 pub use partition::{PartitionLayout, RelationHome};
 pub use rehome::{RehomeOutcome, RehomePolicy};
 pub use relation::{RelationDef, SizeClass};
-pub use tuple::{Schema, Tuple, Value};

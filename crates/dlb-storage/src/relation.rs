@@ -6,7 +6,6 @@
 //! base relation: its name, cardinality, size class and the skew of its join
 //! attribute, from which partition and bucket layouts are derived.
 
-use crate::tuple::Schema;
 use dlb_common::config::CostConstants;
 use dlb_common::RelationId;
 use serde::{Deserialize, Serialize};
@@ -53,28 +52,22 @@ pub struct RelationDef {
     /// Zero means uniform. This drives attribute-value and redistribution
     /// skew downstream.
     pub attribute_skew: f64,
-    /// Schema of the relation (a key attribute plus a payload attribute by
-    /// default).
-    pub schema: Schema,
 }
 
 impl RelationDef {
-    /// Creates a relation definition with a default two-attribute schema.
+    /// Creates a relation definition with a uniform join attribute.
     pub fn new(
         id: RelationId,
         name: impl Into<String>,
         cardinality: u64,
         class: SizeClass,
     ) -> Self {
-        let name = name.into();
-        let schema = Schema::new(vec![format!("{name}_key"), format!("{name}_payload")]);
         Self {
             id,
-            name,
+            name: name.into(),
             cardinality,
             size_class: class,
             attribute_skew: 0.0,
-            schema,
         }
     }
 
@@ -113,8 +106,6 @@ mod tests {
         let r = RelationDef::new(RelationId::new(0), "R", 81 * 10, SizeClass::Small);
         assert_eq!(r.bytes(&costs), 81_000);
         assert_eq!(r.pages(&costs), 10);
-        assert_eq!(r.schema.arity(), 2);
-        assert_eq!(r.schema.attributes()[0], "R_key");
         assert_eq!(r.attribute_skew, 0.0);
         let skewed = r.with_skew(0.8);
         assert_eq!(skewed.attribute_skew, 0.8);

@@ -473,17 +473,34 @@ mod tests {
 
     #[test]
     fn worker_panic_stops_siblings_and_propagates() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        /// Raises its flag when dropped, i.e. once a panic is unwinding.
+        struct RaiseOnDrop<'a>(&'a AtomicBool);
+        impl Drop for RaiseOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
         let items: Vec<usize> = (0..10_000).collect();
         let computed = AtomicUsize::new(0);
+        let unwinding = AtomicBool::new(false);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _: Vec<usize> = items
                 .par_iter()
                 .map(|&x| {
-                    computed.fetch_add(1, Ordering::Relaxed);
                     if x == 0 {
+                        let _raise = RaiseOnDrop(&unwinding);
                         panic!("worker down");
                     }
+                    // The panic hook runs before unwinding starts and takes
+                    // unbounded time (it prints the message, plus a backtrace
+                    // under RUST_BACKTRACE=1). Siblings hold their items until
+                    // item 0 unwinds, so the count below measures what the map
+                    // does once the panic is under way, not the hook's speed.
+                    while !unwinding.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    computed.fetch_add(1, Ordering::Relaxed);
                     x
                 })
                 .collect();

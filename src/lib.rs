@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `dlb-common` | identifiers, virtual time, configuration, Zipf skew |
 //! | `dlb-sim` | discrete-event substrate (calendar, disks, network, CPU accounting) |
-//! | `dlb-storage` | relations, partitioning, buckets, catalog |
+//! | `dlb-storage` | relation definitions, partitioning, re-homing after node failures |
 //! | `dlb-query` | workload generator, cost model, bushy-tree optimizer, parallel plans |
 //! | `dlb-exec` | the DP / FP / SP execution engines and global load balancing |
 //! | `dlb-core` | high-level API: systems, workloads, experiments, summaries |
