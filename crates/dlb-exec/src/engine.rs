@@ -692,6 +692,13 @@ pub(crate) struct QueueEngine<'a> {
     /// the `O(concurrency)` live lanes. Ascending iteration order keeps the
     /// visit order identical to the linear scans it replaces.
     live_ops: BitSet,
+    /// Operators a thread may consume from right now (the paper's
+    /// *unblocked* activations): lane started, operator not terminated and
+    /// no blocking producer left. Work selection intersects it with
+    /// `ready`, so blocked work queued behind an unfinished build is never
+    /// probed. Re-synced by [`Self::sync_runnable`] wherever one of those
+    /// three fields changes.
+    runnable: BitSet,
     /// Per-node set of operators with at least one queued or parked
     /// activation (`OpNodeRuntime::queued > 0`). Work selection probes this
     /// instead of touching every operator's queue state; every queue
@@ -1029,6 +1036,7 @@ impl<'a> QueueEngine<'a> {
             cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
             ops,
             live_ops: BitSet::with_capacity(total_ops),
+            runnable: BitSet::with_capacity(total_ops),
             ready: (0..nodes)
                 .map(|_| BitSet::with_capacity(total_ops))
                 .collect(),
@@ -1221,6 +1229,7 @@ impl<'a> QueueEngine<'a> {
             // The slot counted as terminated while it held a placeholder.
             self.ops_terminated -= 1;
             self.live_ops.insert(idx);
+            self.sync_runnable(idx);
         }
         // One distorted estimate per lane, reused by every node of its
         // placement — the paper's reading: the optimizer mis-estimates a
@@ -1556,8 +1565,8 @@ impl<'a> QueueEngine<'a> {
     }
 
     /// Word `w` of a lane's candidate set for `thread` on `node`: the lane's
-    /// operators with work queued or parked there, intersected with the
-    /// thread's static allocation when it has one.
+    /// runnable operators with work queued or parked there, intersected with
+    /// the thread's static allocation when it has one.
     ///
     /// This and [`Self::take`] run once per lane and candidate of every
     /// selection. Both are also called from [`Self::take_from_word`]; left
@@ -1566,7 +1575,8 @@ impl<'a> QueueEngine<'a> {
     #[inline(always)]
     fn work_word(&self, node: usize, thread: usize, base: usize, n_ops: usize, w: usize) -> u64 {
         let (start, len) = (base + 64 * w, (n_ops - 64 * w).min(64));
-        let ready = self.ready[node].extract_range(start, len);
+        let ready =
+            self.ready[node].extract_range(start, len) & self.runnable.extract_range(start, len);
         // Most words are empty: test that before touching the thread state.
         if ready == 0 {
             return 0;
@@ -1579,12 +1589,14 @@ impl<'a> QueueEngine<'a> {
 
     /// Dequeues an activation of candidate `op` on `node` for `thread`: from
     /// the thread's own queue (`primary`), or else from the first loaded
-    /// queue after it (wrap-around order).
+    /// queue after it (wrap-around order). Candidates come from
+    /// [`Self::work_word`], so they are runnable by construction.
     #[inline(always)]
     fn take(&mut self, op: usize, node: usize, thread: usize, primary: bool) -> Option<Activation> {
-        if !self.op_consumable(op, node) {
-            return None;
-        }
+        debug_assert!(
+            self.op_consumable(op, node),
+            "work selection offered unconsumable op {op} on node {node}"
+        );
         if primary {
             self.deliver_parked(op, node);
         }
@@ -1704,6 +1716,21 @@ impl<'a> QueueEngine<'a> {
     /// `started`/`n_ops` mutation (see [`LaneHot`]).
     fn sync_lane_hot(&mut self, lane: usize) {
         self.lane_hot[lane] = LaneHot::of(&self.lanes[lane]);
+        let (base, n_ops) = (self.lanes[lane].base, self.lanes[lane].n_ops);
+        for op in base..base + n_ops {
+            self.sync_runnable(op);
+        }
+    }
+
+    /// Re-derives `op`'s bit of the runnable mask from its lane's `started`
+    /// flag, its `terminated` flag and its remaining blockers.
+    fn sync_runnable(&mut self, op: usize) {
+        let o = &self.ops[op];
+        if self.lanes[o.lane].started && !o.terminated && o.blockers_remaining == 0 {
+            self.runnable.insert(op);
+        } else {
+            self.runnable.remove(op);
+        }
     }
 
     /// Post-admission bookkeeping of a lane admitted mid-run: trivially-done
@@ -2455,6 +2482,7 @@ impl<'a> QueueEngine<'a> {
         self.ops[op].terminated = true;
         self.ops_terminated += 1;
         self.live_ops.remove(op);
+        self.runnable.remove(op);
         let now = self.calendar.now();
         self.finished_at = self.finished_at.max(now);
         {
@@ -2489,6 +2517,7 @@ impl<'a> QueueEngine<'a> {
         for blocked in self.lanes[self.ops[op].lane].plan.blocks(local) {
             let b = lane_base + blocked.index();
             self.ops[b].blockers_remaining = self.ops[b].blockers_remaining.saturating_sub(1);
+            self.sync_runnable(b);
             if self.ops[b].blockers_remaining == 0 {
                 for h in 0..self.ops[b].home.len() {
                     let home_node = self.ops[b].home[h].index();
@@ -2550,9 +2579,7 @@ impl<'a> QueueEngine<'a> {
                 let chosen = self.threads[node][thread].allowed.as_ref().and_then(|set| {
                     set.iter().find(|&op| {
                         self.ops[op].kind.is_probe()
-                            && self.lanes[self.ops[op].lane].started
-                            && !self.ops[op].terminated
-                            && self.ops[op].blockers_remaining == 0
+                            && self.runnable.contains(op)
                             && !self.node_lb[node].fp_outstanding.contains(&op)
                     })
                 });
@@ -2639,9 +2666,7 @@ impl<'a> QueueEngine<'a> {
         free_bytes: u64,
     ) -> Option<(usize, u64, u64, f64)> {
         if !self.ops[op].kind.is_probe()
-            || !self.lanes[self.ops[op].lane].started
-            || self.ops[op].terminated
-            || self.ops[op].blockers_remaining > 0
+            || !self.runnable.contains(op)
             || !self.ops[op].home.contains(&NodeId::from(requester))
         {
             return None;
@@ -3419,6 +3444,7 @@ impl<'a> QueueEngine<'a> {
         self.ops[op].terminated = false;
         self.ops_terminated -= 1;
         self.live_ops.insert(op);
+        self.sync_runnable(op);
         let lane = self.ops[op].lane;
         self.lanes[lane].ops_terminated -= 1;
         self.ops[op].phase1_reports = 0;
