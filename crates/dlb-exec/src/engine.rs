@@ -1032,7 +1032,7 @@ impl<'a> QueueEngine<'a> {
             disks_per_node,
             calendar: EventCalendar::new(),
             disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
-            network: Network::new(config.network, config.cpu),
+            network: Network::new(config.network, config.cpu, nodes),
             cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
             ops,
             live_ops: BitSet::with_capacity(total_ops),

@@ -14,7 +14,6 @@
 use dlb_common::config::{CpuParams, NetworkParams};
 use dlb_common::{Duration, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Timing of one message transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,29 +30,24 @@ pub struct MessageTiming {
     pub recv_cpu: Duration,
 }
 
-/// Traffic statistics, per direction and aggregated.
+/// Aggregate traffic statistics (per-link counts: [`Network::link_bytes`],
+/// [`Network::link_messages`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkStats {
     /// Total number of messages sent.
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
-    /// Messages broken down by (source, destination).
-    pub per_link_messages: HashMap<(u32, u32), u64>,
-    /// Bytes broken down by (source, destination).
-    pub per_link_bytes: HashMap<(u32, u32), u64>,
 }
 
-impl NetworkStats {
-    /// Bytes sent from `from` to `to`.
-    pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        *self.per_link_bytes.get(&(from.0, to.0)).unwrap_or(&0)
-    }
-
-    /// Messages sent from `from` to `to`.
-    pub fn link_messages(&self, from: NodeId, to: NodeId) -> u64 {
-        *self.per_link_messages.get(&(from.0, to.0)).unwrap_or(&0)
-    }
+/// State of one directed link.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// Arrival time of the last message sent on the link: the next one may
+    /// not arrive earlier (FIFO per link).
+    clock: SimTime,
+    messages: u64,
+    bytes: u64,
 }
 
 /// The interconnection network of the hierarchical system.
@@ -61,21 +55,27 @@ impl NetworkStats {
 pub struct Network {
     params: NetworkParams,
     cpu: CpuParams,
-    /// Per-link earliest next arrival, to preserve FIFO ordering per link.
-    link_clock: HashMap<(u32, u32), SimTime>,
+    nodes: usize,
+    /// Directed links, dense and row-major: `links[from * nodes + to]`.
+    links: Vec<Link>,
     stats: NetworkStats,
 }
 
 impl Network {
-    /// Creates a network with the given parameters. `cpu` is used to convert
-    /// the per-message instruction costs into time.
-    pub fn new(params: NetworkParams, cpu: CpuParams) -> Self {
+    /// Creates a network joining `nodes` SM-nodes with the given parameters.
+    /// `cpu` is used to convert the per-message instruction costs into time.
+    pub fn new(params: NetworkParams, cpu: CpuParams, nodes: usize) -> Self {
         Self {
             params,
             cpu,
-            link_clock: HashMap::new(),
+            nodes,
+            links: vec![Link::default(); nodes * nodes],
             stats: NetworkStats::default(),
         }
+    }
+
+    fn link(&self, from: NodeId, to: NodeId) -> &Link {
+        &self.links[from.index() * self.nodes + to.index()]
     }
 
     /// Network parameters in force.
@@ -87,7 +87,8 @@ impl Network {
     ///
     /// Returns the timing of the transfer. Sending to the local node is free
     /// and instantaneous (shared memory): the paper's model only pays
-    /// message-passing costs across SM-nodes.
+    /// message-passing costs across SM-nodes. Panics when a node lies
+    /// outside the network.
     pub fn send(&mut self, from: NodeId, to: NodeId, bytes: u64, at: SimTime) -> MessageTiming {
         if from == to {
             return MessageTiming {
@@ -100,20 +101,16 @@ impl Network {
         let send_cpu = self.cpu.instructions(self.params.send_instructions(bytes));
         let recv_cpu = self.cpu.instructions(self.params.recv_instructions(bytes));
         let sent = at + send_cpu;
-        let mut arrival =
-            sent + self.params.end_to_end_delay + self.params.transmission_time(bytes);
+        let link = &mut self.links[from.index() * self.nodes + to.index()];
         // FIFO per link: never deliver before a previously sent message on the
         // same link.
-        let link = (from.0, to.0);
-        if let Some(prev) = self.link_clock.get(&link) {
-            arrival = arrival.max(*prev);
-        }
-        self.link_clock.insert(link, arrival);
-
+        let arrival = (sent + self.params.end_to_end_delay + self.params.transmission_time(bytes))
+            .max(link.clock);
+        link.clock = arrival;
+        link.messages += 1;
+        link.bytes += bytes;
         self.stats.messages += 1;
         self.stats.bytes += bytes;
-        *self.stats.per_link_messages.entry(link).or_insert(0) += 1;
-        *self.stats.per_link_bytes.entry(link).or_insert(0) += bytes;
 
         MessageTiming {
             sent,
@@ -127,6 +124,16 @@ impl Network {
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
     }
+
+    /// Bytes sent from `from` to `to`.
+    pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
+        self.link(from, to).bytes
+    }
+
+    /// Messages sent from `from` to `to`.
+    pub fn link_messages(&self, from: NodeId, to: NodeId) -> u64 {
+        self.link(from, to).messages
+    }
 }
 
 #[cfg(test)]
@@ -134,7 +141,7 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::new(NetworkParams::default(), CpuParams::default())
+        Network::new(NetworkParams::default(), CpuParams::default(), 3)
     }
 
     #[test]
@@ -180,8 +187,8 @@ mod tests {
         // a small reverse-direction message is not held behind the large one.
         let c = n.send(NodeId::new(1), NodeId::new(0), 8, SimTime::from_nanos(1));
         assert!(c.arrival < a.arrival);
-        assert_eq!(n.stats().link_messages(NodeId::new(0), NodeId::new(1)), 2);
-        assert_eq!(n.stats().link_bytes(NodeId::new(1), NodeId::new(0)), 8);
+        assert_eq!(n.link_messages(NodeId::new(0), NodeId::new(1)), 2);
+        assert_eq!(n.link_bytes(NodeId::new(1), NodeId::new(0)), 8);
     }
 
     #[test]
@@ -192,10 +199,31 @@ mod tests {
         n.send(NodeId::new(2), NodeId::new(0), 300, SimTime::ZERO);
         assert_eq!(n.stats().messages, 3);
         assert_eq!(n.stats().bytes, 600);
-        assert_eq!(n.stats().link_bytes(NodeId::new(0), NodeId::new(1)), 100);
-        assert_eq!(n.stats().link_bytes(NodeId::new(0), NodeId::new(2)), 200);
-        assert_eq!(n.stats().link_bytes(NodeId::new(2), NodeId::new(0)), 300);
-        assert_eq!(n.stats().link_bytes(NodeId::new(1), NodeId::new(2)), 0);
+        assert_eq!(n.link_bytes(NodeId::new(0), NodeId::new(1)), 100);
+        assert_eq!(n.link_bytes(NodeId::new(0), NodeId::new(2)), 200);
+        assert_eq!(n.link_bytes(NodeId::new(2), NodeId::new(0)), 300);
+        assert_eq!(n.link_bytes(NodeId::new(1), NodeId::new(2)), 0);
+    }
+
+    #[test]
+    fn highest_index_link_keeps_fifo_order_and_its_own_stats() {
+        let mut n = Network::new(NetworkParams::default(), CpuParams::default(), 8);
+        let (a, b) = (NodeId::new(7), NodeId::new(6));
+        let big = n.send(a, b, 1 << 16, SimTime::ZERO);
+        let small = n.send(a, b, 8, SimTime::from_nanos(1));
+        assert!(small.arrival >= big.arrival, "a later message overtook");
+        // The reverse link and its row neighbour are independent of it.
+        let back = n.send(b, a, 8, SimTime::from_nanos(1));
+        assert!(back.arrival < big.arrival);
+        n.send(NodeId::new(7), NodeId::new(5), 100, SimTime::ZERO);
+        assert_eq!(n.link_messages(a, b), 2);
+        assert_eq!(n.link_bytes(a, b), (1 << 16) + 8);
+        assert_eq!(n.link_messages(b, a), 1);
+        assert_eq!(n.link_bytes(b, a), 8);
+        assert_eq!(n.link_bytes(NodeId::new(7), NodeId::new(5)), 100);
+        assert_eq!(n.link_bytes(NodeId::new(7), NodeId::new(7)), 0);
+        assert_eq!(n.stats().messages, 4);
+        assert_eq!(n.stats().bytes, (1 << 16) + 116);
     }
 
     #[test]
@@ -204,7 +232,7 @@ mod tests {
             bandwidth_bytes_per_sec: Some(8.0 * 1024.0), // 1 page per second
             ..NetworkParams::default()
         };
-        let mut n = Network::new(params, CpuParams::default());
+        let mut n = Network::new(params, CpuParams::default(), 2);
         let t = n.send(NodeId::new(0), NodeId::new(1), 8 * 1024, SimTime::ZERO);
         assert!(t.arrival.since(SimTime::ZERO) > Duration::from_secs(1));
     }
