@@ -418,6 +418,9 @@ struct OpRuntime {
     kind: OperatorKind,
     /// Global index of the consumer operator, if any.
     consumer: Option<usize>,
+    /// Global indices of the operators pipelining into this one (none for
+    /// scans); end detection waits for all of them to terminate.
+    producers: Vec<usize>,
     home: Vec<NodeId>,
     output_ratio: f64,
     blockers_remaining: usize,
@@ -1146,6 +1149,7 @@ impl<'a> QueueEngine<'a> {
                 relation: RelationId::new(0),
             },
             consumer: None,
+            producers: Vec::new(),
             home: Vec::new(),
             output_ratio: 0.0,
             blockers_remaining: 0,
@@ -1209,6 +1213,12 @@ impl<'a> QueueEngine<'a> {
                 lane: slot,
                 kind: op.kind,
                 consumer: op.consumer.map(|c| base + c.index()),
+                producers: plan
+                    .tree
+                    .pipelined_producers(op.id)
+                    .iter()
+                    .map(|p| base + p.index())
+                    .collect(),
                 // The rotation uses the *global* index so that the hot slots
                 // of same-shaped queries in a mix do not all land on the
                 // same threads (for a single query the global index is the
@@ -2408,15 +2418,7 @@ impl<'a> QueueEngine<'a> {
     // ----------------------------------------------------------------- //
 
     fn producers_terminated(&self, op: usize) -> bool {
-        if self.ops[op].kind.is_scan() {
-            return true;
-        }
-        let lane = &self.lanes[self.ops[op].lane];
-        lane.plan
-            .tree
-            .pipelined_producers(OperatorId::from(op - lane.base))
-            .iter()
-            .all(|p| self.ops[lane.base + p.index()].terminated)
+        self.ops[op].producers.iter().all(|&p| self.ops[p].terminated)
     }
 
     fn check_local_end(&mut self, op: usize, node: usize) {
@@ -2528,19 +2530,17 @@ impl<'a> QueueEngine<'a> {
 
         // Some operators may now be able to report their own end (e.g. a
         // consumer that received no input, or one waiting for this producer).
-        // The live set is snapshotted first because the recursive calls
-        // shrink it; ops terminated mid-sweep are skipped at visit time,
-        // exactly as the full-range scan did.
-        let sweep: Vec<usize> = self.live_ops.iter().collect();
-        for other in sweep {
-            if self.ops[other].terminated {
-                continue;
-            }
+        // The recursive calls only shrink the live set, so re-reading it
+        // after each visit walks the ops still live at visit time in
+        // ascending order, exactly as the full-range scan did.
+        let mut cursor = self.live_ops.first_in(0, self.ops.len());
+        while let Some(other) = cursor {
             for h in 0..self.ops[other].home.len() {
                 let node = self.ops[other].home[h].index();
                 self.check_local_end(other, node);
             }
             self.maybe_terminate(other);
+            cursor = self.live_ops.first_in(other + 1, self.ops.len());
         }
     }
 
