@@ -2643,10 +2643,13 @@ impl<'a> QueueEngine<'a> {
 
     /// Total queued-tuple load of a node across live operators: the
     /// aggregate a §3.2 provider advertises in its offers, and the quantity
-    /// the Threshold watermarks compare against.
+    /// the Threshold watermarks compare against. Only operators in
+    /// `ready[node]` hold queued or parked work there, so the walk skips
+    /// every other live operator.
     fn node_load(&self, node: usize) -> u64 {
-        self.live_ops
+        self.ready[node]
             .iter()
+            .filter(|&op| self.live_ops.contains(op))
             .filter_map(|op| self.op_nodes[op][node].as_ref())
             .map(|opn| opn.queued_tuples())
             .sum()
