@@ -76,6 +76,11 @@ const CONTROL_MESSAGE_BYTES: u64 = 256;
 /// co-simulated mix of them) needs.
 const MAX_EVENTS: u64 = 500_000_000;
 
+/// Events between two [`QueueEngine::check_invariants`] passes in unit
+/// tests.
+#[cfg(test)]
+const CHECK_EVERY: u64 = 64;
+
 /// One query of a co-simulated execution: the plan plus the inter-query
 /// descriptors the engine needs to interleave it with the others.
 #[derive(Debug, Clone, Copy)]
@@ -309,11 +314,7 @@ enum ControlMsg {
     /// Phase 2 reply: the node has no remaining work for `op`.
     Confirm { op: usize },
     /// Termination broadcast (accounting only; state is updated centrally).
-    Terminated {
-        /// The terminated operator (kept for traceability in debug output).
-        #[allow(dead_code)]
-        op: usize,
-    },
+    Terminated,
     /// A node is starving (DP: any work; FP: work for `target`).
     Starving {
         from: usize,
@@ -677,6 +678,9 @@ pub(crate) struct QueueEngine<'a> {
     scope: StealScope,
     /// Cached [`Policy::prefers_cached_tables`].
     prefers_cached: bool,
+    /// Memory-contention slowdown of every quantum, fixed by the options
+    /// and the node width, so it is computed once at construction.
+    contention: f64,
     cost: CostModel,
     nodes: usize,
     threads_per_node: usize,
@@ -752,6 +756,9 @@ pub(crate) struct QueueEngine<'a> {
     lb_bytes: u64,
     ops_terminated: usize,
     finished_at: SimTime,
+    /// Events between two invariant checks (see [`CHECK_EVERY`]).
+    #[cfg(test)]
+    check_every: u64,
 }
 
 /// What an engine is built from.
@@ -1029,6 +1036,7 @@ impl<'a> QueueEngine<'a> {
             push: strategy.push_config(),
             scope: strategy.starving_scope(),
             prefers_cached: strategy.prefers_cached_tables(),
+            contention: options.contention_factor(config.machine.processors_per_node),
             cost: CostModel::new(config.costs, config.disk, config.cpu),
             nodes,
             threads_per_node,
@@ -1078,6 +1086,8 @@ impl<'a> QueueEngine<'a> {
             lb_bytes: 0,
             ops_terminated: total_ops,
             finished_at: SimTime::ZERO,
+            #[cfg(test)]
+            check_every: CHECK_EVERY,
         };
 
         if engine.open.is_none() {
@@ -1387,7 +1397,13 @@ impl<'a> QueueEngine<'a> {
                 Event::Topology { index } => self.on_topology(index)?,
                 Event::OpenArrival => self.on_open_arrival(),
             }
+            #[cfg(test)]
+            if self.calendar.processed().is_multiple_of(self.check_every) {
+                self.check_invariants();
+            }
         }
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         let response = self.finished_at.since(SimTime::ZERO);
         let aggregate = ExecutionReport {
             strategy: self.strategy,
@@ -1732,6 +1748,42 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
+    /// Recomputes the state the engine mirrors for speed — the runnable
+    /// mask, the per-node ready sets, the live set and the terminated count
+    /// — from the operator, lane and queue state it shadows, and panics
+    /// naming the first mirror that drifted.
+    #[cfg(any(test, debug_assertions))]
+    fn check_invariants(&self) {
+        for (op, o) in self.ops.iter().enumerate() {
+            assert_eq!(
+                self.live_ops.contains(op),
+                !o.terminated,
+                "live_ops drifted at op {op}"
+            );
+            let runnable = self.lanes[o.lane].started && !o.terminated && o.blockers_remaining == 0;
+            assert_eq!(
+                self.runnable.contains(op),
+                runnable,
+                "runnable drifted at op {op}"
+            );
+            for node in 0..self.nodes {
+                let queued = self.op_nodes[op][node]
+                    .as_ref()
+                    .is_some_and(|opn| opn.queued_activations() > 0);
+                assert_eq!(
+                    self.ready[node].contains(op),
+                    queued,
+                    "ready[{node}] drifted at op {op}"
+                );
+            }
+        }
+        assert_eq!(
+            self.ops_terminated,
+            self.ops.len() - self.live_ops.len(),
+            "ops_terminated drifted from live_ops"
+        );
+    }
+
     /// Re-derives `op`'s bit of the runnable mask from its lane's `started`
     /// flag, its `terminated` flag and its remaining blockers.
     fn sync_runnable(&mut self, op: usize) {
@@ -2057,11 +2109,6 @@ impl<'a> QueueEngine<'a> {
     // Activation processing
     // ----------------------------------------------------------------- //
 
-    fn contention(&self, _node: usize) -> f64 {
-        self.options
-            .contention_factor(self.config.machine.processors_per_node)
-    }
-
     fn process_activation(
         &mut self,
         node: usize,
@@ -2076,6 +2123,12 @@ impl<'a> QueueEngine<'a> {
             costs.queue_access_instr + if primary { 0 } else { costs.interference_instr };
         let mut io_complete = now;
         let kind = self.ops[op_idx].kind;
+        // Scans and probes emit `output_ratio` times their input; builds
+        // only fill their hash table.
+        let out_tuples = match kind {
+            OperatorKind::Build { .. } => 0,
+            _ => (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64,
+        };
 
         match act.kind {
             ActivationKind::Trigger { pages, disk } => {
@@ -2103,14 +2156,13 @@ impl<'a> QueueEngine<'a> {
                     instructions += act.tuples * costs.build_tuple_instr;
                 } else {
                     // Probe.
-                    let out = (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64;
-                    instructions +=
-                        act.tuples * costs.probe_tuple_instr + out * costs.result_tuple_instr;
+                    instructions += act.tuples * costs.probe_tuple_instr
+                        + out_tuples * costs.result_tuple_instr;
                 }
             }
         }
 
-        let cpu_time = self.config.cpu.instructions(instructions) * self.contention(node);
+        let cpu_time = self.config.cpu.instructions(instructions) * self.contention;
         let mut quantum_end = (now + cpu_time).max(io_complete);
 
         // Record hash-table growth for builds.
@@ -2120,16 +2172,7 @@ impl<'a> QueueEngine<'a> {
             }
         }
 
-        // Produce and route output.
-        let out_tuples = match kind {
-            OperatorKind::Scan { .. } => {
-                (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64
-            }
-            OperatorKind::Probe { .. } => {
-                (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64
-            }
-            OperatorKind::Build { .. } => 0,
-        };
+        // Route the output.
         if out_tuples > 0 {
             quantum_end = self.emit_output(node, op_idx, out_tuples, quantum_end);
         }
@@ -2367,7 +2410,7 @@ impl<'a> QueueEngine<'a> {
                 self.ops[op].phase2_confirms += 1;
                 self.maybe_terminate(op);
             }
-            ControlMsg::Terminated { .. } => {
+            ControlMsg::Terminated => {
                 // Accounting-only broadcast: state was already updated when
                 // the coordinator made the decision.
             }
@@ -2418,7 +2461,10 @@ impl<'a> QueueEngine<'a> {
     // ----------------------------------------------------------------- //
 
     fn producers_terminated(&self, op: usize) -> bool {
-        self.ops[op].producers.iter().all(|&p| self.ops[p].terminated)
+        self.ops[op]
+            .producers
+            .iter()
+            .all(|&p| self.ops[p].terminated)
     }
 
     fn check_local_end(&mut self, op: usize, node: usize) {
@@ -2509,7 +2555,7 @@ impl<'a> QueueEngine<'a> {
                 self.coordinator(),
                 home_node,
                 CONTROL_MESSAGE_BYTES,
-                ControlMsg::Terminated { op },
+                ControlMsg::Terminated,
             );
         }
 
@@ -4843,5 +4889,103 @@ mod tests {
         );
         let responses: Vec<f64> = co.queries.iter().map(|q| q.response_secs).collect();
         assert_eq!(responses, [1.706380011, 1.642453762]);
+    }
+
+    /// Builds an engine over `workload`, runs it with the invariant check
+    /// after every event and returns it for inspection.
+    fn run_checking_every_event<'a>(
+        workload: Workload<'_, 'a>,
+        config: SystemConfig,
+        strategy: Strategy,
+        opts: ExecOptions,
+        topology: &[TopologyEvent],
+    ) -> (QueueEngine<'a>, CoSimReport) {
+        let mut engine = QueueEngine::new(workload, config, strategy, opts, topology).unwrap();
+        engine.check_every = 1;
+        let report = engine.run().unwrap();
+        (engine, report)
+    }
+
+    #[test]
+    fn mirrored_state_matches_recomputation_every_event() {
+        // FP (per-thread allowed masks) and Threshold (push) over a skewed
+        // two-query mix.
+        let (plan_a, plan_b) = (bushy_plan(2), two_join_plan(2));
+        let queries = [solo(&plan_a, 0.0, 2, 0.6), solo(&plan_b, 0.01, 1, 0.6)];
+        for strategy in [Strategy::fixed(0.1), Strategy::threshold(2048.0, 256.0)] {
+            let (engine, report) = run_checking_every_event(
+                Workload::Fixed(&queries),
+                SystemConfig::hierarchical(2, 4),
+                strategy,
+                ExecOptions::with_skew(0.6),
+                &[],
+            );
+            assert_eq!(engine.ops_terminated, engine.ops.len(), "{strategy:?}");
+            assert!(report.queries.iter().all(|q| q.result_tuples > 0));
+        }
+
+        // Lose-and-restart failure and re-join: a terminated build re-opens,
+        // and the lane pinned to the failed node re-homes wholesale.
+        let plan = bushy_plan(4);
+        let config = SystemConfig::hierarchical(4, 2);
+        let mut opts = ExecOptions::with_skew(0.3);
+        opts.recovery.policy = RecoveryPolicy::LoseRestart;
+        let pinned = [NodeId::from(3usize)];
+        let queries = [
+            solo(&plan, 0.0, 1, 0.3),
+            solo(&plan, 0.05, 1, 0.3),
+            CoSimQuery {
+                mask: Some(&pinned),
+                ..solo(&plan, 0.0, 1, 0.3)
+            },
+        ];
+        let clean = execute_cosimulated(&queries, &config, Strategy::dynamic(), &opts).unwrap();
+        let m = clean.makespan_secs();
+        let topo = [
+            TopologyEvent::fail(m * 0.5, 3),
+            TopologyEvent::join(m * 0.7, 3),
+        ];
+        let (_, faulted) = run_checking_every_event(
+            Workload::Fixed(&queries),
+            config,
+            Strategy::dynamic(),
+            opts,
+            &topo,
+        );
+        assert!(
+            faulted.faults.operators_restarted > 0,
+            "{:?}",
+            faulted.faults
+        );
+        assert_eq!(faulted.faults.joins, 1);
+        assert_eq!(
+            faulted.queries[2].result_tuples,
+            clean.queries[2].result_tuples
+        );
+
+        // An open stream through 3 lane slots: 40 arrivals recycle them.
+        let (tiny, bushy) = (tiny_plan(2), bushy_plan(2));
+        let traffic = OpenTraffic {
+            templates: vec![template(&tiny), template(&bushy)],
+            arrivals: ArrivalSpec {
+                templates: 2,
+                priority_classes: 2,
+                ..arrivals(ArrivalKind::Poisson, 40, 50.0, 0.0)
+            },
+            concurrency: 3,
+            frontend: FrontendConfig::default(),
+        };
+        for strategy in [Strategy::dynamic(), Strategy::fixed(0.2)] {
+            let (engine, _) = run_checking_every_event(
+                Workload::Open(&traffic),
+                SystemConfig::hierarchical(2, 2),
+                strategy,
+                ExecOptions::with_skew(0.5),
+                &[],
+            );
+            let open = engine.open.as_ref().unwrap();
+            assert_eq!(open.completed, 40, "{strategy:?}");
+            assert!(engine.runnable.is_empty() && engine.live_ops.is_empty());
+        }
     }
 }
