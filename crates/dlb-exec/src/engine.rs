@@ -1468,12 +1468,12 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
-    fn op_consumable(&self, op: usize, node: usize) -> bool {
+    /// Whether `op`'s activations may be consumed at all: its lane started,
+    /// it has not terminated and no blocking producer is left. The
+    /// `runnable` mask caches this per operator.
+    fn unblocked(&self, op: usize) -> bool {
         let o = &self.ops[op];
-        self.lanes[o.lane].started
-            && !o.terminated
-            && o.blockers_remaining == 0
-            && self.op_nodes[op][node].is_some()
+        self.lanes[o.lane].started && !o.terminated && o.blockers_remaining == 0
     }
 
     /// Moves parked activations of (op, node) into queues with free space.
@@ -1620,7 +1620,7 @@ impl<'a> QueueEngine<'a> {
     #[inline(always)]
     fn take(&mut self, op: usize, node: usize, thread: usize, primary: bool) -> Option<Activation> {
         debug_assert!(
-            self.op_consumable(op, node),
+            self.unblocked(op) && self.op_nodes[op][node].is_some(),
             "work selection offered unconsumable op {op} on node {node}"
         );
         if primary {
@@ -1760,10 +1760,9 @@ impl<'a> QueueEngine<'a> {
                 !o.terminated,
                 "live_ops drifted at op {op}"
             );
-            let runnable = self.lanes[o.lane].started && !o.terminated && o.blockers_remaining == 0;
             assert_eq!(
                 self.runnable.contains(op),
-                runnable,
+                self.unblocked(op),
                 "runnable drifted at op {op}"
             );
             for node in 0..self.nodes {
@@ -1784,11 +1783,9 @@ impl<'a> QueueEngine<'a> {
         );
     }
 
-    /// Re-derives `op`'s bit of the runnable mask from its lane's `started`
-    /// flag, its `terminated` flag and its remaining blockers.
+    /// Re-derives `op`'s bit of the runnable mask (see [`Self::unblocked`]).
     fn sync_runnable(&mut self, op: usize) {
-        let o = &self.ops[op];
-        if self.lanes[o.lane].started && !o.terminated && o.blockers_remaining == 0 {
+        if self.unblocked(op) {
             self.runnable.insert(op);
         } else {
             self.runnable.remove(op);
@@ -2299,7 +2296,7 @@ impl<'a> QueueEngine<'a> {
             opn.enqueue_or_park(slot, activation);
             self.ready[node].insert(op);
         }
-        if self.op_consumable(op, node) {
+        if self.runnable.contains(op) {
             self.wake_threads(node, Some(op));
         }
         // The delivery may have been the last in-flight batch of the
@@ -3027,7 +3024,7 @@ impl<'a> QueueEngine<'a> {
             }
             self.ready[node].insert(op);
         }
-        if self.op_consumable(op, node) {
+        if self.runnable.contains(op) {
             self.wake_threads(node, Some(op));
         }
     }
