@@ -74,8 +74,14 @@ impl Network {
         }
     }
 
-    fn link(&self, from: NodeId, to: NodeId) -> &Link {
-        &self.links[from.index() * self.nodes + to.index()]
+    /// Index of link `from → to` in `links`.
+    fn link_index(&self, from: NodeId, to: NodeId) -> usize {
+        assert!(
+            from.index() < self.nodes && to.index() < self.nodes,
+            "link {from} -> {to} lies outside a {}-node network",
+            self.nodes
+        );
+        from.index() * self.nodes + to.index()
     }
 
     /// Network parameters in force.
@@ -101,7 +107,8 @@ impl Network {
         let send_cpu = self.cpu.instructions(self.params.send_instructions(bytes));
         let recv_cpu = self.cpu.instructions(self.params.recv_instructions(bytes));
         let sent = at + send_cpu;
-        let link = &mut self.links[from.index() * self.nodes + to.index()];
+        let i = self.link_index(from, to);
+        let link = &mut self.links[i];
         // FIFO per link: never deliver before a previously sent message on the
         // same link.
         let arrival = (sent + self.params.end_to_end_delay + self.params.transmission_time(bytes))
@@ -125,14 +132,16 @@ impl Network {
         &self.stats
     }
 
-    /// Bytes sent from `from` to `to`.
+    /// Bytes sent from `from` to `to`. Panics when a node lies outside the
+    /// network.
     pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.link(from, to).bytes
+        self.links[self.link_index(from, to)].bytes
     }
 
-    /// Messages sent from `from` to `to`.
+    /// Messages sent from `from` to `to`. Panics when a node lies outside
+    /// the network.
     pub fn link_messages(&self, from: NodeId, to: NodeId) -> u64 {
-        self.link(from, to).messages
+        self.links[self.link_index(from, to)].messages
     }
 }
 
@@ -224,6 +233,13 @@ mod tests {
         assert_eq!(n.link_bytes(NodeId::new(7), NodeId::new(7)), 0);
         assert_eq!(n.stats().messages, 4);
         assert_eq!(n.stats().bytes, (1 << 16) + 116);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 3-node network")]
+    fn sends_beyond_the_network_panic_instead_of_aliasing_a_link() {
+        // Row-major, node 4 of a 3-node network would land on link 1 -> 1.
+        net().send(NodeId::new(0), NodeId::new(4), 8, SimTime::ZERO);
     }
 
     #[test]
